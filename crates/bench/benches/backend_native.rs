@@ -1,10 +1,9 @@
-//! Compute backends: sim vs native vs auto on the launch_batching
-//! workload.
+//! Compute backends: sim vs native on the launch_batching workload.
 //!
 //! The pipeline config is the launch-batching shape (many small windows,
 //! GPU output on the measured path); only the backend varies. Sim pays
 //! per-access instrumentation on every kernel, native runs the same
-//! kernel bodies uninstrumented via rayon, and auto picks per launch.
+//! kernel bodies uninstrumented via rayon.
 //! See the `native_backend` experiment for the calibrated run with
 //! byte-identity asserts and the recorded speedup.
 
@@ -27,11 +26,7 @@ fn bench(c: &mut Criterion) {
 
     let mut g = c.benchmark_group("backend_native");
     g.sample_size(10);
-    for backend in [
-        BackendChoice::Sim,
-        BackendChoice::Native,
-        BackendChoice::Auto,
-    ] {
+    for backend in [BackendChoice::Sim, BackendChoice::Native] {
         g.bench_with_input(
             BenchmarkId::from_parameter(backend.name()),
             &backend,

@@ -73,7 +73,7 @@ pub struct DeviceLedger {
     /// Sanitizer finding totals; all-zero unless the device was built with
     /// [`Device::with_sanitizer`] (snapshotted when the ledger is read).
     pub sanitizer: SanitizerCounts,
-    /// Per-backend launch and auto-dispatch tallies
+    /// Per-backend launch tallies
     /// (`backend.sim + backend.native == launches`).
     pub backend: BackendTallies,
 }
@@ -490,30 +490,6 @@ impl Device {
             led.wall_time += stats.wall_time;
         }
         self.tally_launch(name, 0.0, stats.wall_time, true);
-    }
-
-    /// Record one auto-dispatch decision (`to_sim` ⇒ the simulator ran
-    /// the launch). Tallied on the ledger; when a trace is attached the
-    /// decision also lands as an instant on the kernel track at the
-    /// device clock's current position.
-    pub(crate) fn record_auto_decision(&self, to_sim: bool) {
-        {
-            let mut led = self.ledger.lock();
-            if to_sim {
-                led.backend.auto_sim += 1;
-            } else {
-                led.backend.auto_native += 1;
-            }
-        }
-        if let Some(trace) = &self.trace {
-            let ts = *trace.cursor.lock();
-            let name = trace.rec.intern(if to_sim {
-                "dispatch_sim"
-            } else {
-                "dispatch_native"
-            });
-            trace.rec.instant(trace.kernels, name, ts);
-        }
     }
 
     /// The device's buffer pool (enable/disable recycling, read stats).

@@ -60,8 +60,8 @@ pub mod sanitizer;
 pub mod trace;
 
 pub use backend::{
-    AutoPolicy, BackendChoice, BackendDispatcher, BackendError, BackendTallies, ComputeBackend,
-    KernelCtx, NativeBackend, NativeCtx, SharedTile, SimBackend,
+    BackendChoice, BackendDispatcher, BackendError, BackendTallies, ComputeBackend, KernelCtx,
+    NativeBackend, NativeCtx, SharedTile, SimBackend,
 };
 pub use buffer::{ConstBuffer, DeviceInt, DeviceScalar, GlobalBuffer};
 pub use config::DeviceConfig;

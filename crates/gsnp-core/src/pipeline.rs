@@ -6,14 +6,22 @@
 //!        └── compressed temporary input ──────────┘
 //! ```
 //!
-//! The window loop runs either serially (`pipeline_depth = 1`) or as a
-//! bounded four-stage streaming pipeline (`pipeline_depth ≥ 2`, the
-//! default): producer (`read_site`), device (`counting` + likelihood),
-//! `posterior`, and output each on a dedicated host thread, connected by
-//! bounded channels so successive windows overlap. The output stage
-//! reassembles windows in index order, keeping results and the compressed
-//! file byte-identical to a serial run (§IV-G); per-stage busy/stall time
-//! is reported in [`PipelineStats::overlap`].
+//! One executor runs the window loop for every caller: [`GsnpPipeline`]
+//! is a call over one sample, [`crate::cohort::CohortPipeline`] a call
+//! over `N` samples that also applies quality gates and the bad-site list
+//! in the posterior stage. It is written once as four stages — producer
+//! (`read_site`), device (`counting` + likelihood + `recycle`),
+//! `posterior`, and output — over sample-major launch batches, with
+//! `pipeline_depth`, `num_devices` and `launch_batch` as parameters. At
+//! depth 1 on one device the stages run inline on the caller's thread, in
+//! order; otherwise each stage gets its own host thread (`num_devices`
+//! device workers sharing one work-queue), connected by bounded channels
+//! so successive batches overlap. The output stage reassembles batches in
+//! index order, keeping results and the compressed files byte-identical
+//! across every shape (§IV-G); per-stage busy/stall time is reported in
+//! [`PipelineStats::overlap`]. Kernels run on either backend of
+//! [`gpu_sim::BackendDispatcher`] — the instrumented simulator or the
+//! native executor — chosen once per run.
 //!
 //! Every device component reports both the **host wall-clock** of the
 //! simulation and the **modelled device time** from the cost model; the
@@ -25,17 +33,17 @@ use std::time::Instant;
 use compress::{column, input_codec};
 use crossbeam::channel::bounded;
 use gpu_sim::{
-    AutoPolicy, BackendChoice, BackendDispatcher, ComputeBackend, DeviceConfig, DeviceGroup,
-    LaunchStats,
+    BackendChoice, BackendDispatcher, ComputeBackend, DeviceConfig, DeviceGroup, LaunchStats,
 };
 use rayon::prelude::*;
 use seqio::fasta::Reference;
 use seqio::prior::PriorMap;
 use seqio::result::{SnpRow, SnpTable};
 use seqio::soap::AlignedRead;
-use seqio::window::WindowReader;
+use seqio::window::{OwnedReads, WindowReader};
 
 use crate::arena::{ArenaPool, ArenaPoolStats, WindowArena};
+use crate::cohort::{apply_site_policies, BadSiteList, PostTallies, QualityGates};
 use crate::counting::SparseWindow;
 use crate::journal::Journal;
 use crate::likelihood::{
@@ -163,10 +171,10 @@ pub struct GsnpConfig {
     pub compress_input: bool,
     /// Run output RLE-DICT columns on the device (§V-B).
     pub gpu_output: bool,
-    /// Bounded-channel depth of the streaming window loop. `1` runs the
-    /// stages serially on one thread; `2` (the default) double-buffers —
-    /// window *k*'s host stages overlap window *k+1*'s device stage.
-    /// Results are byte-identical at every depth (§IV-G).
+    /// Bounded-channel depth of the window loop. `1` (on one device)
+    /// runs the stages inline on the caller's thread; `2` (the default)
+    /// double-buffers — window *k*'s host stages overlap window *k+1*'s
+    /// device stage. Results are byte-identical at every depth (§IV-G).
     pub pipeline_depth: usize,
     /// Windows coalesced per mega-batched launch group. Each batch pays
     /// ONE launch per kernel — one multipass-sort pass per size class, one
@@ -217,19 +225,13 @@ pub struct GsnpConfig {
     /// [`GsnpCpuPipeline`], which has no device or stage structure to
     /// trace.
     pub trace: Option<std::sync::Arc<gpu_sim::TraceRecorder>>,
-    /// Which compute backend executes the kernels: the instrumented
-    /// simulator (`Sim`, the default — source of truth for Table III
-    /// counters, sanitizer, and trace), the uninstrumented rayon host
-    /// executor (`Native`, bit-identical results at real wall-clock
-    /// speed), or per-launch adaptive dispatch (`Auto`). `Native` refuses
-    /// configs that need sim-only features (`sanitize`, `trace`); `Auto`
-    /// falls back to the simulator for those launches.
+    /// Which compute backend executes the kernels, for the whole run: the
+    /// instrumented simulator (`Sim`, the default — source of truth for
+    /// Table III counters, sanitizer, and trace) or the uninstrumented
+    /// rayon host executor (`Native`, bit-identical results at real
+    /// wall-clock speed). `Native` refuses traced configs; on a sanitized
+    /// device it runs only contract-proved launches.
     pub backend: BackendChoice,
-    /// Routing policy for the `Auto` backend (ignored by `Sim`/`Native`).
-    /// [`AutoPolicy::native_min_blocks`] is the occupancy threshold below
-    /// which a launch stays on the simulator; the CLI exposes it as
-    /// `--auto-threshold`.
-    pub auto: AutoPolicy,
     /// Pre-calibrated score tables to run against, skipping this run's own
     /// `cal_p_matrix`/`precompute` pass. `None` (the default) calibrates
     /// from the input reads as usual. The cohort pipeline sets this so one
@@ -268,7 +270,6 @@ impl Default for GsnpConfig {
             contracts: false,
             trace: None,
             backend: BackendChoice::Sim,
-            auto: AutoPolicy::default(),
             shared_tables: None,
             progress: None,
             journal: None,
@@ -330,808 +331,405 @@ impl GsnpPipeline {
         &self.config
     }
 
-    /// Run over in-memory inputs.
+    /// Run over in-memory inputs: the window-loop executor over one
+    /// sample, with no site policies.
     pub fn run(
         &self,
         reads: &[AlignedRead],
         reference: &Reference,
         priors: &PriorMap,
     ) -> GsnpOutput {
-        let cfg = &self.config;
-        // One tracker per run, external or private — every latency
-        // observation flows through it either way (see
-        // [`PipelineStats::hists`]).
-        let tracker = cfg
-            .progress
-            .clone()
-            .unwrap_or_else(|| std::sync::Arc::new(ProgressTracker::new()));
-        let journal = cfg.journal.clone();
-        let mut group = DeviceGroup::new(cfg.device.clone(), cfg.num_devices)
-            .with_launch_hist(&tracker.kernel_hist());
-        if cfg.sanitize {
-            group = group.with_sanitizer(gpu_sim::SanitizerConfig::all());
-        }
-        if cfg.contracts {
-            group = group.with_contracts();
-        }
-        if let Some(rec) = &cfg.trace {
-            group = group.with_trace(rec);
-        }
-        tracker.set_total_windows((reference.len() as u64).div_ceil(cfg.window_size.max(1) as u64));
-        tracker.begin_lanes(group.len());
-        // Host-side pipeline tracks (one per stage + device lane); all
-        // registration and interning happens here, before the first window.
-        let ptrace = cfg
-            .trace
-            .as_ref()
-            .map(|rec| PipelineTrace::new(rec, group.len()));
-        group.set_pool_enabled(cfg.pooled);
-        // One per-device dispatcher routes every kernel launch to the
-        // configured backend. Construction refuses `Native` when sim-only
-        // features (sanitizer, trace) are attached; `Auto` falls back to
-        // the simulator for those launches instead.
-        let dispatchers: Vec<BackendDispatcher<'_>> = group
-            .devices()
-            .iter()
-            .map(|d| {
-                BackendDispatcher::with_policy(d, cfg.backend, cfg.auto)
-                    .unwrap_or_else(|e| panic!("gsnp: {e}"))
-            })
-            .collect();
-        let mut times = ComponentTimes::default();
-        let mut wall = ComponentTimes::default();
-        let mut stats = PipelineStats {
-            samples: 1,
-            ..PipelineStats::default()
-        };
-
-        // ---- cal_p_matrix + load_table (Fig. 2 left column) ----
-        let t0 = Instant::now();
-        // Cohort runs inject pre-pooled tables (paying calibration once for
-        // all samples); a plain run calibrates from its own reads.
-        let shared = match &cfg.shared_tables {
-            Some(st) => std::sync::Arc::clone(st),
-            None => std::sync::Arc::new(SharedTables::calibrate(reads, reference, &cfg.params)),
-        };
-        // One host image, one upload (and one ledger charge) per device.
-        let tables =
-            DeviceTables::upload_group(&group, &shared.p_matrix, &shared.new_p, &shared.log_table);
-        // Temporary compressed input written during the first pass (§V-A).
-        let temp_input = if cfg.compress_input {
-            Some(input_codec::compress_reads(&reference.name, reads))
-        } else {
-            None
-        };
-        let cal_wall = t0.elapsed().as_secs_f64();
-        wall.cal_p = cal_wall;
-        // Device time: table upload over PCIe on top of the host compute.
-        // Each device's copy travels its own PCIe link, so the group pays
-        // one upload of modelled latency regardless of its size.
-        stats.table_bytes = tables[0].upload_bytes();
-        times.cal_p = cal_wall + stats.table_bytes as f64 / cfg.device.pcie_bw;
-        stats.peak_host_bytes += temp_input.as_ref().map_or(0, |t| t.len() as u64);
-
-        let mut out = if cfg.pipeline_depth <= 1 && group.len() == 1 {
-            self.window_loop_serial(
-                &group,
-                &dispatchers,
-                &tables,
-                temp_input,
-                reads,
-                reference,
-                priors,
-                ptrace.as_ref(),
-                &tracker,
-                journal.as_deref(),
-                times,
-                wall,
-                stats,
-            )
-        } else {
-            // A multi-device run always streams: even at depth 1 the
-            // device workers need the channel topology to shard windows.
-            self.window_loop_streamed(
-                &group,
-                &dispatchers,
-                &tables,
-                temp_input,
-                reads,
-                reference,
-                priors,
-                ptrace.as_ref(),
-                &tracker,
-                journal.as_deref(),
-                times,
-                wall,
-                stats,
-            )
-        };
-        out.stats.hists = tracker.latency();
-        if let Some(j) = &journal {
-            journal_run_stats(j, &out.stats);
-        }
-        out
-    }
-
-    /// The window loop at `pipeline_depth = 1`, `num_devices = 1`: every
-    /// stage on the caller's thread, one window at a time.
-    #[allow(clippy::too_many_arguments)]
-    fn window_loop_serial(
-        &self,
-        group: &DeviceGroup,
-        dispatchers: &[BackendDispatcher<'_>],
-        tables: &[DeviceTables],
-        temp_input: Option<Vec<u8>>,
-        reads: &[AlignedRead],
-        reference: &Reference,
-        priors: &PriorMap,
-        ptrace: Option<&PipelineTrace>,
-        tracker: &ProgressTracker,
-        journal: Option<&Journal>,
-        mut times: ComponentTimes,
-        mut wall: ComponentTimes,
-        mut stats: PipelineStats,
-    ) -> GsnpOutput {
-        let cfg = &self.config;
-        let dev = group.device(0);
-        let disp = &dispatchers[0];
-        let tables = &tables[0];
-        let loop_start = Instant::now();
-
-        // ---- read_site source: decompress the temporary input ----
-        let t0 = Instant::now();
-        let ts = trace_now(ptrace);
-        let owned_reads;
-        let read_source: &[AlignedRead] = match &temp_input {
-            Some(bytes) => {
-                owned_reads = input_codec::decompress_reads(bytes)
-                    .expect("pipeline-internal temporary input must decode");
-                &owned_reads
-            }
-            None => reads,
-        };
-        let decompress_wall = t0.elapsed().as_secs_f64();
-        tracker.stage_busy(STAGE_READ, decompress_wall);
-        if let Some(pt) = ptrace {
-            pt.read_span(ts, decompress_wall);
-        }
-
-        let mut reader = WindowReader::new(
-            read_source.iter().cloned().map(Ok),
-            reference.len() as u64,
-            cfg.window_size,
+        let mut run = execute(
+            &self.config,
+            &[reads],
+            reference,
+            priors,
+            QualityGates::default(),
+            &BadSiteList::new(),
         );
-        wall.read_site += decompress_wall;
-        times.read_site += decompress_wall;
-
-        let mut out_tables = Vec::new();
-        let mut compressed = Vec::new();
-        let device_table_bytes = tables.upload_bytes();
-        let arena_pool = ArenaPool::new(cfg.pooled);
-
-        let batch_size = cfg.launch_batch_size();
-        let mut scratch = BatchScratch::default();
-        let mut batch: Vec<WindowArena> = Vec::with_capacity(batch_size);
-        let mut batch_tables: Vec<SnpTable> = Vec::with_capacity(batch_size);
-        let mut eof = false;
-        let mut batch_idx = 0usize;
-
-        while !eof {
-            // ---- read_site: fill one launch batch ----
-            while batch.len() < batch_size {
-                let mut arena = arena_pool.checkout();
-                let t0 = Instant::now();
-                let ts = trace_now(ptrace);
-                let got = reader
-                    .next_window_into(&mut arena.window)
-                    .expect("in-memory reads are valid");
-                let dt = t0.elapsed().as_secs_f64();
-                wall.read_site += dt;
-                times.read_site += dt;
-                tracker.stage_busy(STAGE_READ, dt);
-                if let Some(pt) = ptrace {
-                    pt.read_span(ts, dt);
-                }
-                if !got {
-                    eof = true;
-                    arena_pool.checkin(arena);
-                    break;
-                }
-                batch.push(arena);
-            }
-            if batch.is_empty() {
-                break;
-            }
-
-            // ---- counting + likelihood + recycle: ONE launch group ----
-            // The serial loop's device-lane busy time is the growth of the
-            // four device-component wall clocks across this batch.
-            let first_window = stats.windows;
-            let sites_before = stats.num_sites;
-            let dev_wall_before =
-                wall.counting + wall.likelihood_sort + wall.likelihood_comp + wall.recycle;
-            let ts = trace_now(ptrace);
-            let tl_bytes = run_device_batch(
-                disp,
-                tables,
-                cfg.variant,
-                device_table_bytes,
-                cfg.device.coalesced_bw,
-                &mut batch,
-                &mut scratch,
-                &mut times,
-                &mut wall,
-                &mut stats,
-            );
-            let dev_dt = wall.counting + wall.likelihood_sort + wall.likelihood_comp + wall.recycle
-                - dev_wall_before;
-            tracker.lane_batch(
-                0,
-                batch.len() as u64,
-                stats.num_sites - sites_before,
-                dev_dt,
-            );
-            if let Some(j) = journal {
-                j.event(
-                    "batch",
-                    &format!(
-                        "\"lane\":0,\"idx\":{batch_idx},\"windows\":{},\"busy_seconds\":{dev_dt:.6}",
-                        batch.len()
-                    ),
-                );
-            }
-            batch_idx += 1;
-            if let Some(pt) = ptrace {
-                emit_lane_batch(pt, 0, ts, dev_dt, first_window, batch.len());
-            }
-
-            // ---- posterior (per window; one readback charge per batch) ----
-            let mut row_count = 0u64;
-            let mut post_dt = 0.0;
-            batch_tables.clear();
-            for arena in batch.drain(..) {
-                let t0 = Instant::now();
-                let ts = trace_now(ptrace);
-                let rows = posterior_rows(
-                    arena.window.start,
-                    &arena.type_likely,
-                    &arena.sw.summaries,
-                    reference,
-                    priors,
-                    &cfg.params,
-                );
-                stats.snp_count += rows.iter().filter(|r| r.is_variant()).count() as u64;
-                row_count += rows.len() as u64;
-                let dt = t0.elapsed().as_secs_f64();
-                wall.posterior += dt;
-                post_dt += dt;
-                if let Some(pt) = ptrace {
-                    pt.posterior_span(ts, dt);
-                }
-                batch_tables.push(SnpTable::new(
-                    reference.name.clone(),
-                    arena.window.start,
-                    rows,
-                ));
-                arena_pool.checkin(arena);
-            }
-            // Device model for posterior: the per-site arithmetic is cheap;
-            // the cost is dominated by moving type_likely down and result
-            // columns back (the paper attributes its modest posterior
-            // speedup to exactly this transfer overhead). Batching merges
-            // the batch's readbacks into one transfer.
-            let mut post_stats = LaunchStats::default();
-            dev.charge_d2h(&mut post_stats, tl_bytes + row_count * 32);
-            times.posterior += post_dt.min(post_stats.sim_time * 4.0) + post_stats.sim_time;
-            tracker.stage_busy(STAGE_POSTERIOR, post_dt);
-
-            // ---- output: ONE batched compress chain per batch ----
-            let t0 = Instant::now();
-            let ts = trace_now(ptrace);
-            let out_stats = if cfg.gpu_output {
-                column::write_windows_gpu_batch(disp, &mut compressed, &batch_tables)
-            } else {
-                for table in &batch_tables {
-                    column::write_window(&mut compressed, table);
-                }
-                LaunchStats::default()
-            };
-            let dt = t0.elapsed().as_secs_f64();
-            wall.output += dt;
-            tracker.stage_busy(STAGE_OUTPUT, dt);
-            if let Some(pt) = ptrace {
-                pt.output_span(ts, dt);
-            }
-            times.output += if cfg.gpu_output {
-                // Device columns overlap host columns; charge the slower
-                // plus the (dominant) host write of the compressed bytes.
-                out_stats.sim_time + dt * 0.25
-            } else {
-                dt
-            };
-
-            out_tables.append(&mut batch_tables);
-        }
-        stats.arena = arena_pool.stats();
-        let ledger = group.ledger();
-        let total = ledger.total();
-        stats.pool = total.pool;
-        stats.sanitizer = total.sanitizer;
-        stats.ledgers = ledger.per_device;
-        stats.kernel_launches = group.kernel_launches();
-        stats.contracts = group.contract_report();
-
-        // A serial run is, by definition, one stage busy at a time.
-        let device_busy =
-            wall.counting + wall.likelihood_sort + wall.likelihood_comp + wall.recycle;
-        stats.overlap = OverlapStats {
-            depth: 1,
-            read: StageStats {
-                busy: wall.read_site,
-                ..Default::default()
-            },
-            device: StageStats {
-                busy: device_busy,
-                ..Default::default()
-            },
-            devices: vec![DeviceLaneStats {
-                stage: StageStats {
-                    busy: device_busy,
-                    ..Default::default()
-                },
-                windows: stats.windows,
-                steals: 0,
-            }],
-            posterior: StageStats {
-                busy: wall.posterior,
-                ..Default::default()
-            },
-            output: StageStats {
-                busy: wall.output,
-                ..Default::default()
-            },
-            wall: loop_start.elapsed().as_secs_f64(),
-        };
-        debug_verify_trace(ptrace, &stats.overlap);
-
         GsnpOutput {
-            tables: out_tables,
-            compressed,
-            times,
-            wall,
-            stats,
-        }
-    }
-
-    /// The streaming window loop (`pipeline_depth ≥ 2` or
-    /// `num_devices ≥ 2`): producer, `N` device workers, posterior, and
-    /// output on dedicated threads connected by bounded channels.
-    ///
-    /// The device stage is a **sharded dispatcher**: all workers pull from
-    /// one shared bounded work-queue, so windows go to whichever device
-    /// frees up first — equivalent to work-stealing from a single global
-    /// deque, without the idle devices a static `idx % N` round-robin
-    /// produces on skewed (deep-coverage) windows. Windows a worker
-    /// processes off its round-robin home are counted as steals in
-    /// [`DeviceLaneStats`]. The output stage reassembles windows in index
-    /// order — results and the compressed stream are byte-identical to
-    /// [`Self::window_loop_serial`] at any `(depth, devices)` (§IV-G,
-    /// tested in `tests/shard_parity.rs`).
-    #[allow(clippy::too_many_arguments)]
-    fn window_loop_streamed(
-        &self,
-        group: &DeviceGroup,
-        dispatchers: &[BackendDispatcher<'_>],
-        tables: &[DeviceTables],
-        temp_input: Option<Vec<u8>>,
-        reads: &[AlignedRead],
-        reference: &Reference,
-        priors: &PriorMap,
-        ptrace: Option<&PipelineTrace>,
-        tracker: &ProgressTracker,
-        journal: Option<&Journal>,
-        mut times: ComponentTimes,
-        mut wall: ComponentTimes,
-        mut stats: PipelineStats,
-    ) -> GsnpOutput {
-        let cfg = &self.config;
-        let depth = cfg.pipeline_depth.max(1);
-        let num_devices = group.len();
-        let params = &cfg.params;
-        let variant = cfg.variant;
-        let gpu_output = cfg.gpu_output;
-        let window_size = cfg.window_size;
-        let coalesced_bw = cfg.device.coalesced_bw;
-        let batch_size = cfg.launch_batch_size();
-        let ref_len = reference.len() as u64;
-        let device_table_bytes = tables[0].upload_bytes();
-
-        let (win_tx, win_rx) = bounded::<Produced>(depth);
-        let (score_tx, score_rx) = bounded::<Scored>(depth);
-        let (call_tx, call_rx) = bounded::<Called>(depth);
-
-        let mut out_tables = Vec::new();
-        let mut compressed = Vec::new();
-        let mut out_rep = StageReport::default();
-        let arena_pool = ArenaPool::new(cfg.pooled);
-        let loop_start = Instant::now();
-
-        let (read_rep, device_reps, post_rep) = std::thread::scope(|s| {
-            // ---- producer stage: read_site ----
-            let prod_pool = std::sync::Arc::clone(&arena_pool);
-            let producer = s.spawn(move || {
-                let mut rep = StageReport::default();
-                let t0 = Instant::now();
-                let ts = trace_now(ptrace);
-                let owned: Vec<AlignedRead> = match temp_input {
-                    Some(bytes) => input_codec::decompress_reads(&bytes)
-                        .expect("pipeline-internal temporary input must decode"),
-                    None => reads.to_vec(),
-                };
-                let mut reader = WindowReader::from_reads(owned, ref_len, window_size);
-                let dt = t0.elapsed().as_secs_f64();
-                rep.wall.read_site += dt;
-                rep.times.read_site += dt;
-                rep.stage.busy += dt;
-                tracker.stage_busy(STAGE_READ, dt);
-                if let Some(pt) = ptrace {
-                    pt.read_span(ts, dt);
-                }
-                let mut idx = 0usize;
-                let mut eof = false;
-                while !eof {
-                    let mut arenas = Vec::with_capacity(batch_size);
-                    while arenas.len() < batch_size {
-                        let mut arena = prod_pool.checkout();
-                        let t0 = Instant::now();
-                        let ts = trace_now(ptrace);
-                        let got = reader
-                            .next_window_into(&mut arena.window)
-                            .expect("in-memory reads are valid");
-                        let dt = t0.elapsed().as_secs_f64();
-                        rep.wall.read_site += dt;
-                        rep.times.read_site += dt;
-                        rep.stage.busy += dt;
-                        tracker.stage_busy(STAGE_READ, dt);
-                        if let Some(pt) = ptrace {
-                            pt.read_span(ts, dt);
-                        }
-                        if !got {
-                            eof = true;
-                            prod_pool.checkin(arena);
-                            break;
-                        }
-                        arenas.push(arena);
-                    }
-                    if arenas.is_empty() {
-                        break;
-                    }
-
-                    let t0 = Instant::now();
-                    let ts = trace_now(ptrace);
-                    if win_tx.send(Produced { idx, arenas }).is_err() {
-                        break; // downstream died; its panic surfaces at join
-                    }
-                    let dt = t0.elapsed().as_secs_f64();
-                    rep.stage.stall_out += dt;
-                    tracker.stage_stall(STAGE_READ, dt);
-                    if let Some(pt) = ptrace {
-                        pt.read_stall_out(ts, dt);
-                    }
-                    idx += 1;
-                }
-                rep
-            });
-
-            // ---- device stage: N workers over one shared work-queue ----
-            let mut workers = Vec::with_capacity(num_devices);
-            for (worker_id, dev_tables) in tables.iter().enumerate().take(num_devices) {
-                let win_rx = win_rx.clone();
-                let score_tx = score_tx.clone();
-                let disp = &dispatchers[worker_id];
-                workers.push(s.spawn(move || {
-                    let mut rep = StageReport::default();
-                    let mut lane = DeviceLaneStats::default();
-                    let mut scratch = BatchScratch::default();
-                    loop {
-                        let t0 = Instant::now();
-                        let ts = trace_now(ptrace);
-                        let Produced { idx, mut arenas } = match win_rx.recv() {
-                            Ok(p) => p,
-                            Err(_) => break,
-                        };
-                        let dt = t0.elapsed().as_secs_f64();
-                        rep.stage.stall_in += dt;
-                        lane.stage.stall_in += dt;
-                        tracker.lane_wait(worker_id, dt);
-                        if let Some(pt) = ptrace {
-                            pt.lane_stall_in(worker_id, ts, dt);
-                        }
-                        let busy_start = Instant::now();
-                        let ts = trace_now(ptrace);
-
-                        let k = arenas.len();
-                        let sites_before = rep.stats.num_sites;
-                        let tl_bytes = run_device_batch(
-                            disp,
-                            dev_tables,
-                            variant,
-                            device_table_bytes,
-                            coalesced_bw,
-                            &mut arenas,
-                            &mut scratch,
-                            &mut rep.times,
-                            &mut rep.wall,
-                            &mut rep.stats,
-                        );
-                        lane.windows += k as u64;
-                        if idx % num_devices != worker_id {
-                            lane.steals += k as u64;
-                            tracker.lane_steal(worker_id, k as u64);
-                            if let Some(pt) = ptrace {
-                                for _ in 0..k {
-                                    pt.lane_steal(worker_id, ts);
-                                }
-                            }
-                        }
-                        let dt = busy_start.elapsed().as_secs_f64();
-                        rep.stage.busy += dt;
-                        lane.stage.busy += dt;
-                        tracker.lane_batch(
-                            worker_id,
-                            k as u64,
-                            rep.stats.num_sites - sites_before,
-                            dt,
-                        );
-                        if let Some(j) = journal {
-                            j.event(
-                                "batch",
-                                &format!(
-                                    "\"lane\":{worker_id},\"idx\":{idx},\"windows\":{k},\
-                                     \"busy_seconds\":{dt:.6}"
-                                ),
-                            );
-                        }
-                        if let Some(pt) = ptrace {
-                            // Every batch but the last is full, so the
-                            // batch's first global window index is exact.
-                            emit_lane_batch(pt, worker_id, ts, dt, (idx * batch_size) as u64, k);
-                        }
-
-                        let t0 = Instant::now();
-                        let ts = trace_now(ptrace);
-                        let scored = Scored {
-                            idx,
-                            arenas,
-                            tl_bytes,
-                            dev: worker_id,
-                        };
-                        if score_tx.send(scored).is_err() {
-                            break;
-                        }
-                        let dt = t0.elapsed().as_secs_f64();
-                        rep.stage.stall_out += dt;
-                        lane.stage.stall_out += dt;
-                        if let Some(pt) = ptrace {
-                            pt.lane_stall_out(worker_id, ts, dt);
-                        }
-                    }
-                    (rep, lane)
-                }));
-            }
-            // The workers hold clones; dropping the originals lets the
-            // posterior stage's `recv` disconnect once every worker exits.
-            drop(win_rx);
-            drop(score_tx);
-
-            // ---- posterior stage ----
-            let post_pool = std::sync::Arc::clone(&arena_pool);
-            let posterior_stage = s.spawn(move || {
-                let mut rep = StageReport::default();
-                loop {
-                    let t0 = Instant::now();
-                    let ts = trace_now(ptrace);
-                    let Scored {
-                        idx,
-                        arenas,
-                        tl_bytes,
-                        dev,
-                    } = match score_rx.recv() {
-                        Ok(sc) => sc,
-                        Err(_) => break,
-                    };
-                    let dt = t0.elapsed().as_secs_f64();
-                    rep.stage.stall_in += dt;
-                    tracker.stage_stall(STAGE_POSTERIOR, dt);
-                    if let Some(pt) = ptrace {
-                        pt.posterior_stall_in(ts, dt);
-                    }
-                    let busy_start = Instant::now();
-                    let busy_ts = trace_now(ptrace);
-
-                    let t0 = Instant::now();
-                    let mut windows = Vec::with_capacity(arenas.len());
-                    let mut row_count = 0u64;
-                    for arena in arenas {
-                        let rows = posterior_rows(
-                            arena.window.start,
-                            &arena.type_likely,
-                            &arena.sw.summaries,
-                            reference,
-                            priors,
-                            params,
-                        );
-                        rep.stats.snp_count +=
-                            rows.iter().filter(|r| r.is_variant()).count() as u64;
-                        row_count += rows.len() as u64;
-                        windows.push((arena.window.start, rows));
-                        post_pool.checkin(arena);
-                    }
-                    let dt = t0.elapsed().as_secs_f64();
-                    rep.wall.posterior += dt;
-                    let mut post_stats = LaunchStats::default();
-                    // The readback crosses the PCIe link of the device
-                    // that scored this batch — one transfer per batch.
-                    group
-                        .device(dev)
-                        .charge_d2h(&mut post_stats, tl_bytes + row_count * 32);
-                    rep.times.posterior += dt.min(post_stats.sim_time * 4.0) + post_stats.sim_time;
-                    let dt = busy_start.elapsed().as_secs_f64();
-                    rep.stage.busy += dt;
-                    tracker.stage_busy(STAGE_POSTERIOR, dt);
-                    if let Some(pt) = ptrace {
-                        pt.posterior_span(busy_ts, dt);
-                    }
-
-                    let t0 = Instant::now();
-                    let ts = trace_now(ptrace);
-                    let called = Called { idx, windows, dev };
-                    if call_tx.send(called).is_err() {
-                        break;
-                    }
-                    let dt = t0.elapsed().as_secs_f64();
-                    rep.stage.stall_out += dt;
-                    if let Some(pt) = ptrace {
-                        pt.posterior_stall_out(ts, dt);
-                    }
-                }
-                rep
-            });
-
-            // ---- output stage (this thread): reassemble + compress ----
-            let mut reasm = OrderedReassembler::new();
-            loop {
-                let t0 = Instant::now();
-                let ts = trace_now(ptrace);
-                let called = match call_rx.recv() {
-                    Ok(c) => c,
-                    Err(_) => break,
-                };
-                let dt = t0.elapsed().as_secs_f64();
-                out_rep.stage.stall_in += dt;
-                tracker.stage_stall(STAGE_OUTPUT, dt);
-                if let Some(pt) = ptrace {
-                    pt.output_stall_in(ts, dt);
-                }
-                let busy_start = Instant::now();
-                let busy_ts = trace_now(ptrace);
-                // In-order arrivals (the common case at one device: every
-                // stage is one thread over FIFO channels) take the
-                // allocation-free `offer` fast path; batches that overtook
-                // a sibling on another device drain via `pop_ready`. The
-                // reassembler is keyed by batch index, so the compressed
-                // stream is byte-identical at any (batch, depth, devices).
-                let mut next = reasm.offer(called.idx, (called.windows, called.dev));
-                while let Some((windows, dev)) = next {
-                    let t0 = Instant::now();
-                    let batch_tables: Vec<SnpTable> = windows
-                        .into_iter()
-                        .map(|(start, rows)| SnpTable::new(reference.name.clone(), start, rows))
-                        .collect();
-                    let out_stats = if gpu_output {
-                        // Column kernels run on the device that already
-                        // holds this batch's data: one chain per batch.
-                        column::write_windows_gpu_batch(
-                            &dispatchers[dev],
-                            &mut compressed,
-                            &batch_tables,
-                        )
-                    } else {
-                        for table in &batch_tables {
-                            column::write_window(&mut compressed, table);
-                        }
-                        LaunchStats::default()
-                    };
-                    let dt = t0.elapsed().as_secs_f64();
-                    out_rep.wall.output += dt;
-                    out_rep.times.output += if gpu_output {
-                        out_stats.sim_time + dt * 0.25
-                    } else {
-                        dt
-                    };
-                    out_tables.extend(batch_tables);
-                    next = reasm.pop_ready();
-                }
-                let dt = busy_start.elapsed().as_secs_f64();
-                out_rep.stage.busy += dt;
-                tracker.stage_busy(STAGE_OUTPUT, dt);
-                if let Some(pt) = ptrace {
-                    pt.output_span(busy_ts, dt);
-                }
-            }
-            assert!(reasm.is_drained(), "streamed pipeline lost a window");
-
-            let device_reps: Vec<(StageReport, DeviceLaneStats)> =
-                workers.into_iter().map(join_stage).collect();
-            (
-                join_stage(producer),
-                device_reps,
-                join_stage(posterior_stage),
-            )
-        });
-        let loop_wall = loop_start.elapsed().as_secs_f64();
-
-        let mut device_stage = StageStats::default();
-        let mut lanes = Vec::with_capacity(num_devices);
-        for (rep, lane) in &device_reps {
-            add_times(&mut times, &rep.times);
-            add_times(&mut wall, &rep.wall);
-            merge_stats(&mut stats, &rep.stats);
-            device_stage.busy += lane.stage.busy;
-            device_stage.stall_in += lane.stage.stall_in;
-            device_stage.stall_out += lane.stage.stall_out;
-            lanes.push(*lane);
-        }
-        for rep in [&read_rep, &post_rep, &out_rep] {
-            add_times(&mut times, &rep.times);
-            add_times(&mut wall, &rep.wall);
-            merge_stats(&mut stats, &rep.stats);
-        }
-        stats.overlap = OverlapStats {
-            depth,
-            read: read_rep.stage,
-            device: device_stage,
-            devices: lanes,
-            posterior: post_rep.stage,
-            output: out_rep.stage,
-            wall: loop_wall,
-        };
-        debug_verify_trace(ptrace, &stats.overlap);
-        stats.arena = arena_pool.stats();
-        let ledger = group.ledger();
-        let total = ledger.total();
-        stats.pool = total.pool;
-        stats.sanitizer = total.sanitizer;
-        stats.ledgers = ledger.per_device;
-        stats.kernel_launches = group.kernel_launches();
-        stats.contracts = group.contract_report();
-
-        GsnpOutput {
-            tables: out_tables,
-            compressed,
-            times,
-            wall,
-            stats,
+            tables: run.tables.pop().expect("one sample in, one out"),
+            compressed: run.compressed.pop().expect("one sample in, one out"),
+            times: run.times,
+            wall: run.wall,
+            stats: run.stats,
         }
     }
 }
 
-/// One launch batch of windows handed from the producer to the device
-/// stage (each arena owns its loaded observation lists). `idx` is the
-/// batch index; every batch but the last holds exactly the configured
-/// batch size, so window `j` of batch `idx` is global window
-/// `idx * batch_size + j`.
+/// What one [`execute`] call produces: per-sample tables and compressed
+/// streams (in sample order), the posterior stage's per-sample tallies,
+/// and the run totals.
+pub(crate) struct Executed {
+    pub(crate) tables: Vec<Vec<SnpTable>>,
+    pub(crate) compressed: Vec<Vec<u8>>,
+    pub(crate) tallies: PostTallies,
+    pub(crate) times: ComponentTimes,
+    pub(crate) wall: ComponentTimes,
+    pub(crate) stats: PipelineStats,
+}
+
+/// The window-loop executor behind [`GsnpPipeline::run`] (one sample)
+/// and [`crate::cohort::CohortPipeline::run`] (`N` samples).
+///
+/// Calibrates once over every sample's reads (unless
+/// [`GsnpConfig::shared_tables`] supplies the tables), uploads the score
+/// tables once per device, then runs `read_site → device → posterior →
+/// output` over sample-major launch batches: batch `idx` holds the same
+/// `k ≤ launch_batch` windows of every sample, ordered
+/// `[s0:w0..][s1:w0..]…`, and one fused launch group scores all of them.
+/// The posterior stage applies `gates` and `bad_sites`; the output stage
+/// demuxes each batch into one compression group per sample.
+///
+/// At `pipeline_depth = 1` on one device the four stages run inline on
+/// the caller's thread, in order. Otherwise each runs on its own thread —
+/// `num_devices` device workers pulling from one shared work-queue —
+/// connected by bounded channels of `pipeline_depth`, and the output
+/// stage reassembles batch order. Both schedules call the same stage
+/// functions, so results are byte-identical at every shape
+/// (`tests/{stream,shard,batch,cohort}_parity.rs`).
+pub(crate) fn execute(
+    cfg: &GsnpConfig,
+    samples: &[&[AlignedRead]],
+    reference: &Reference,
+    priors: &PriorMap,
+    gates: QualityGates,
+    bad_sites: &BadSiteList,
+) -> Executed {
+    let num_samples = samples.len();
+    assert!(
+        num_samples >= 1,
+        "the window loop needs at least one sample"
+    );
+    // One tracker per run, external or private — every latency
+    // observation flows through it either way (see
+    // [`PipelineStats::hists`]).
+    let tracker = cfg
+        .progress
+        .clone()
+        .unwrap_or_else(|| std::sync::Arc::new(ProgressTracker::new()));
+    let mut group = DeviceGroup::new(cfg.device.clone(), cfg.num_devices)
+        .with_launch_hist(&tracker.kernel_hist());
+    if cfg.sanitize {
+        group = group.with_sanitizer(gpu_sim::SanitizerConfig::all());
+    }
+    if cfg.contracts {
+        group = group.with_contracts();
+    }
+    if let Some(rec) = &cfg.trace {
+        group = group.with_trace(rec);
+    }
+    group.set_pool_enabled(cfg.pooled);
+    let ref_len = reference.len() as u64;
+    tracker.set_samples(num_samples as u64);
+    tracker.set_total_windows(ref_len.div_ceil(cfg.window_size.max(1) as u64) * num_samples as u64);
+    tracker.begin_lanes(group.len());
+    // Host-side pipeline tracks (one per stage + device lane); all
+    // registration and interning happens here, before the first window.
+    let ptrace = cfg
+        .trace
+        .as_ref()
+        .map(|rec| PipelineTrace::new(rec, group.len()));
+    // One dispatcher per device routes every kernel launch to the
+    // configured backend; construction refuses `Native` on a traced group.
+    let dispatchers: Vec<BackendDispatcher<'_>> = group
+        .devices()
+        .iter()
+        .map(|d| BackendDispatcher::new(d, cfg.backend).unwrap_or_else(|e| panic!("gsnp: {e}")))
+        .collect();
+    let mut times = ComponentTimes::default();
+    let mut wall = ComponentTimes::default();
+    let mut stats = PipelineStats {
+        samples: num_samples as u64,
+        ..PipelineStats::default()
+    };
+
+    // ---- cal_p_matrix + load_table (Fig. 2 left column): once per run ----
+    let t0 = Instant::now();
+    let shared = match &cfg.shared_tables {
+        Some(st) => std::sync::Arc::clone(st),
+        None => std::sync::Arc::new(SharedTables::calibrate_pooled(
+            samples.iter().copied(),
+            reference,
+            &cfg.params,
+        )),
+    };
+    // One host image, one upload (and one ledger charge) per device — not
+    // per sample.
+    let tables =
+        DeviceTables::upload_group(&group, &shared.p_matrix, &shared.new_p, &shared.log_table);
+    // Per-sample temporary compressed inputs (§V-A).
+    let temp_inputs: Option<Vec<Vec<u8>>> = cfg.compress_input.then(|| {
+        samples
+            .iter()
+            .map(|reads| input_codec::compress_reads(&reference.name, reads))
+            .collect()
+    });
+    let cal_wall = t0.elapsed().as_secs_f64();
+    wall.cal_p = cal_wall;
+    // Device time: table upload over PCIe on top of the host compute.
+    // Each device's copy travels its own PCIe link, so the group pays
+    // one upload of modelled latency regardless of its size.
+    stats.table_bytes = tables[0].upload_bytes();
+    times.cal_p = cal_wall + stats.table_bytes as f64 / cfg.device.pcie_bw;
+    stats.peak_host_bytes += temp_inputs
+        .as_ref()
+        .map_or(0, |t| t.iter().map(|b| b.len() as u64).sum());
+
+    let arena_pool = ArenaPool::new(cfg.pooled);
+    let ctx = Ctx {
+        cfg,
+        reference,
+        priors,
+        dispatchers: &dispatchers,
+        tables: &tables,
+        pool: &arena_pool,
+        tracker: &tracker,
+        ptrace: ptrace.as_ref(),
+        journal: cfg.journal.as_deref(),
+        num_samples,
+        batch_size: cfg.launch_batch_size(),
+        gates,
+        bad_sites,
+    };
+    let loop_start = Instant::now();
+    let (read, lanes, post, out) = if cfg.pipeline_depth <= 1 && group.len() == 1 {
+        run_inline(&ctx, temp_inputs, samples)
+    } else {
+        // A multi-device run always uses the threaded schedule: even at
+        // depth 1 the device workers need the shared work-queue.
+        run_threaded(&ctx, temp_inputs, samples)
+    };
+    let loop_wall = loop_start.elapsed().as_secs_f64();
+
+    let mut device = StageStats::default();
+    for lane in &lanes {
+        device.busy += lane.rep.stage.busy;
+        device.stall_in += lane.rep.stage.stall_in;
+        device.stall_out += lane.rep.stage.stall_out;
+    }
+    for rep in lanes
+        .iter()
+        .map(|l| &l.rep)
+        .chain([&read.rep, &post.rep, &out.rep])
+    {
+        add_times(&mut times, &rep.times);
+        add_times(&mut wall, &rep.wall);
+        merge_stats(&mut stats, &rep.stats);
+    }
+    stats.overlap = OverlapStats {
+        depth: cfg.pipeline_depth.max(1),
+        read: read.rep.stage,
+        device,
+        devices: lanes
+            .iter()
+            .map(|l| DeviceLaneStats {
+                stage: l.rep.stage,
+                windows: l.windows,
+                steals: l.steals,
+            })
+            .collect(),
+        posterior: post.rep.stage,
+        output: out.rep.stage,
+        wall: loop_wall,
+    };
+    debug_verify_trace(ctx.ptrace, &stats.overlap);
+    stats.arena = arena_pool.stats();
+    let ledger = group.ledger();
+    let total = ledger.total();
+    stats.pool = total.pool;
+    stats.sanitizer = total.sanitizer;
+    stats.ledgers = ledger.per_device;
+    stats.kernel_launches = group.kernel_launches();
+    stats.contracts = group.contract_report();
+    stats.hists = tracker.latency();
+    if let Some(j) = ctx.journal {
+        journal_run_stats(j, &stats);
+    }
+    assert!(out.reasm.is_drained(), "window loop lost a batch");
+    Executed {
+        tables: out.tables,
+        compressed: out.compressed,
+        tallies: post.tallies,
+        times,
+        wall,
+        stats,
+    }
+}
+
+type StageResults<'a> = (
+    ReadStage<'a>,
+    Vec<DeviceLane<'a>>,
+    PosteriorStage<'a>,
+    OutputStage<'a>,
+);
+
+/// Depth 1 on one device: every stage on the caller's thread, one launch
+/// batch at a time. No channel, so no stall is ever recorded.
+fn run_inline<'a>(
+    ctx: &'a Ctx<'a>,
+    temp_inputs: Option<Vec<Vec<u8>>>,
+    samples: &[&[AlignedRead]],
+) -> StageResults<'a> {
+    let mut read = ReadStage::new(ctx, temp_inputs, samples);
+    let mut lane = DeviceLane::new(ctx, 0);
+    let mut post = PosteriorStage::new(ctx);
+    let mut out = OutputStage::new(ctx);
+    while let Some(batch) = read.next_batch() {
+        out.accept(post.call(lane.score(batch)));
+    }
+    (read, vec![lane], post, out)
+}
+
+/// The threaded schedule: producer, `N` device workers over one shared
+/// work-queue, posterior, and output (this thread), connected by bounded
+/// channels of `pipeline_depth`.
+///
+/// Workers pull from one queue, so a batch goes to whichever device frees
+/// up first — work-stealing from a single global deque without the idle
+/// devices a static `idx % N` round-robin produces on skewed windows.
+/// Batches a worker scores off its round-robin home count as steals.
+fn run_threaded<'a>(
+    ctx: &'a Ctx<'a>,
+    temp_inputs: Option<Vec<Vec<u8>>>,
+    samples: &[&[AlignedRead]],
+) -> StageResults<'a> {
+    let depth = ctx.cfg.pipeline_depth.max(1);
+    let pt = ctx.ptrace;
+    let tracker = ctx.tracker;
+    let (win_tx, win_rx) = bounded::<Produced>(depth);
+    let (score_tx, score_rx) = bounded::<Scored>(depth);
+    let (call_tx, call_rx) = bounded::<Called>(depth);
+
+    std::thread::scope(|s| {
+        let producer = s.spawn(move || {
+            let mut read = ReadStage::new(ctx, temp_inputs, samples);
+            while let Some(batch) = read.next_batch() {
+                let (sent, ts, dt) = timed(pt, || win_tx.send(batch));
+                if sent.is_err() {
+                    break; // downstream died; its panic surfaces at join
+                }
+                read.rep.stage.stall_out += dt;
+                tracker.stage_stall(STAGE_READ, dt);
+                if let Some(pt) = pt {
+                    pt.read_stall_out(ts, dt);
+                }
+            }
+            read
+        });
+
+        let workers: Vec<_> = (0..ctx.dispatchers.len())
+            .map(|id| {
+                let win_rx = win_rx.clone();
+                let score_tx = score_tx.clone();
+                s.spawn(move || {
+                    let mut lane = DeviceLane::new(ctx, id);
+                    loop {
+                        let (batch, ts, dt) = timed(pt, || win_rx.recv());
+                        let Ok(batch) = batch else { break };
+                        lane.rep.stage.stall_in += dt;
+                        tracker.lane_wait(id, dt);
+                        if let Some(pt) = pt {
+                            pt.lane_stall_in(id, ts, dt);
+                        }
+                        let scored = lane.score(batch);
+                        let (sent, ts, dt) = timed(pt, || score_tx.send(scored));
+                        if sent.is_err() {
+                            break;
+                        }
+                        lane.rep.stage.stall_out += dt;
+                        if let Some(pt) = pt {
+                            pt.lane_stall_out(id, ts, dt);
+                        }
+                    }
+                    lane
+                })
+            })
+            .collect();
+        // The workers hold clones; dropping the originals lets the
+        // posterior stage's `recv` disconnect once every worker exits.
+        drop(win_rx);
+        drop(score_tx);
+
+        let posterior = s.spawn(move || {
+            let mut post = PosteriorStage::new(ctx);
+            loop {
+                let (scored, ts, dt) = timed(pt, || score_rx.recv());
+                let Ok(scored) = scored else { break };
+                post.rep.stage.stall_in += dt;
+                tracker.stage_stall(STAGE_POSTERIOR, dt);
+                if let Some(pt) = pt {
+                    pt.posterior_stall_in(ts, dt);
+                }
+                let called = post.call(scored);
+                let (sent, ts, dt) = timed(pt, || call_tx.send(called));
+                if sent.is_err() {
+                    break;
+                }
+                post.rep.stage.stall_out += dt;
+                if let Some(pt) = pt {
+                    pt.posterior_stall_out(ts, dt);
+                }
+            }
+            post
+        });
+
+        let mut out = OutputStage::new(ctx);
+        loop {
+            let (called, ts, dt) = timed(pt, || call_rx.recv());
+            let Ok(called) = called else { break };
+            out.rep.stage.stall_in += dt;
+            tracker.stage_stall(STAGE_OUTPUT, dt);
+            if let Some(pt) = pt {
+                pt.output_stall_in(ts, dt);
+            }
+            out.accept(called);
+        }
+        let lanes = workers.into_iter().map(join_stage).collect();
+        (join_stage(producer), lanes, join_stage(posterior), out)
+    })
+}
+
+/// Run `f`, returning its result with its trace-epoch start and its
+/// wall-clock duration in seconds.
+fn timed<T>(pt: Option<&PipelineTrace>, f: impl FnOnce() -> T) -> (T, f64, f64) {
+    let ts = trace_now(pt);
+    let t0 = Instant::now();
+    let v = f();
+    (v, ts, t0.elapsed().as_secs_f64())
+}
+
+/// Everything the stages of one run share, read-only.
+struct Ctx<'a> {
+    cfg: &'a GsnpConfig,
+    reference: &'a Reference,
+    priors: &'a PriorMap,
+    dispatchers: &'a [BackendDispatcher<'a>],
+    tables: &'a [DeviceTables],
+    pool: &'a ArenaPool,
+    tracker: &'a ProgressTracker,
+    ptrace: Option<&'a PipelineTrace>,
+    journal: Option<&'a Journal>,
+    num_samples: usize,
+    batch_size: usize,
+    gates: QualityGates,
+    bad_sites: &'a BadSiteList,
+}
+
+/// One sample-major launch batch handed from the producer to the device
+/// stage: the same `k` windows of every sample, arenas ordered
+/// `[s0:w0..][s1:w0..]…`. Every batch but the last holds exactly
+/// `batch_size` windows per sample, so window `j` of sample `s` in batch
+/// `idx` is that sample's window `idx * batch_size + j`.
 struct Produced {
     idx: usize,
     arenas: Vec<WindowArena>,
 }
 
-/// Likelihood-scored batch handed from a device worker to `posterior`
-/// (each arena owns its `summaries` and `type_likely`; `posterior`
-/// returns them to the pool once rows are extracted). `dev` is the group
-/// index of the device that scored the batch — downstream transfer and
-/// output-column charges go to that device's ledger. `tl_bytes` is the
-/// batch's total `type_likely` readback size.
+/// A likelihood-scored batch handed from a device worker to `posterior`.
+/// `dev` is the group index of the device that scored it — the readback
+/// and output-column charges go to that device's ledger. `tl_bytes` is
+/// the batch's total `type_likely` readback size.
 struct Scored {
     idx: usize,
     arenas: Vec<WindowArena>,
@@ -1139,26 +737,384 @@ struct Scored {
     dev: usize,
 }
 
-/// Called batch handed from `posterior` to the output stage: per window,
-/// its reference start and rows.
+/// A called batch handed from `posterior` to the output stage:
+/// `per_sample[s]` holds sample `s`'s `(window_start, rows)` pairs.
 struct Called {
     idx: usize,
-    windows: Vec<(u64, Vec<SnpRow>)>,
+    per_sample: PerSample,
     dev: usize,
 }
 
+/// One batch's called windows, per sample: `(window_start, rows)` pairs.
+type PerSample = Vec<Vec<(u64, Vec<SnpRow>)>>;
+
+/// `read_site`: decompresses every sample's temporary input, then cuts
+/// the samples into lockstep launch batches over the shared window grid.
+struct ReadStage<'a> {
+    ctx: &'a Ctx<'a>,
+    readers: Vec<WindowReader<OwnedReads>>,
+    next_idx: usize,
+    eof: bool,
+    rep: StageReport,
+}
+
+impl<'a> ReadStage<'a> {
+    fn new(
+        ctx: &'a Ctx<'a>,
+        temp_inputs: Option<Vec<Vec<u8>>>,
+        samples: &[&[AlignedRead]],
+    ) -> Self {
+        let (ref_len, window_size) = (ctx.reference.len() as u64, ctx.cfg.window_size);
+        let (readers, ts, dt) = timed(ctx.ptrace, || {
+            let owned: Vec<Vec<AlignedRead>> = match temp_inputs {
+                Some(blobs) => blobs
+                    .into_iter()
+                    .map(|bytes| {
+                        input_codec::decompress_reads(&bytes)
+                            .expect("pipeline-internal temporary input must decode")
+                    })
+                    .collect(),
+                None => samples.iter().map(|reads| reads.to_vec()).collect(),
+            };
+            owned
+                .into_iter()
+                .map(|reads| WindowReader::from_reads(reads, ref_len, window_size))
+                .collect()
+        });
+        let mut stage = ReadStage {
+            ctx,
+            readers,
+            next_idx: 0,
+            eof: false,
+            rep: StageReport::default(),
+        };
+        stage.record_busy(ts, dt);
+        stage
+    }
+
+    fn record_busy(&mut self, ts: f64, dt: f64) {
+        self.rep.wall.read_site += dt;
+        self.rep.times.read_site += dt;
+        self.rep.stage.busy += dt;
+        self.ctx.tracker.stage_busy(STAGE_READ, dt);
+        if let Some(pt) = self.ctx.ptrace {
+            pt.read_span(ts, dt);
+        }
+    }
+
+    /// Load sample `sample`'s next window into a pooled arena.
+    fn read_window(&mut self, sample: usize) -> Option<WindowArena> {
+        let mut arena = self.ctx.pool.checkout();
+        let reader = &mut self.readers[sample];
+        let (got, ts, dt) = timed(self.ctx.ptrace, || {
+            reader
+                .next_window_into(&mut arena.window)
+                .expect("in-memory reads are valid")
+        });
+        self.record_busy(ts, dt);
+        if got {
+            Some(arena)
+        } else {
+            self.ctx.pool.checkin(arena);
+            None
+        }
+    }
+
+    /// The next launch batch, or `None` once every window has been read.
+    /// Sample 0 decides how many windows the batch holds; every other
+    /// sample's reader must produce exactly the same windows (they tile
+    /// the same reference).
+    fn next_batch(&mut self) -> Option<Produced> {
+        if self.eof {
+            return None;
+        }
+        let batch_size = self.ctx.batch_size;
+        let mut arenas = Vec::with_capacity(batch_size * self.readers.len());
+        while arenas.len() < batch_size {
+            match self.read_window(0) {
+                Some(arena) => arenas.push(arena),
+                None => {
+                    self.eof = true;
+                    break;
+                }
+            }
+        }
+        let wins = arenas.len();
+        if wins == 0 {
+            return None;
+        }
+        let idx = self.next_idx;
+        for sample in 1..self.readers.len() {
+            for w in 0..wins {
+                let arena = self.read_window(sample).unwrap_or_else(|| {
+                    panic!("cohort window grids diverged at batch {idx} window {w}")
+                });
+                assert_eq!(
+                    arena.window.start, arenas[w].window.start,
+                    "cohort site alignment broke at batch {idx}"
+                );
+                arenas.push(arena);
+            }
+        }
+        self.next_idx += 1;
+        Some(Produced { idx, arenas })
+    }
+}
+
+/// One device worker: counting + likelihood + recycle for whole launch
+/// batches on device `id`.
+struct DeviceLane<'a> {
+    ctx: &'a Ctx<'a>,
+    id: usize,
+    scratch: BatchScratch,
+    windows: u64,
+    steals: u64,
+    rep: StageReport,
+}
+
+impl<'a> DeviceLane<'a> {
+    fn new(ctx: &'a Ctx<'a>, id: usize) -> Self {
+        DeviceLane {
+            ctx,
+            id,
+            scratch: BatchScratch::default(),
+            windows: 0,
+            steals: 0,
+            rep: StageReport::default(),
+        }
+    }
+
+    /// ONE fused launch group over every window of the batch.
+    fn score(&mut self, batch: Produced) -> Scored {
+        let Produced { idx, mut arenas } = batch;
+        let ctx = self.ctx;
+        let id = self.id;
+        let k = arenas.len();
+        let sites_before = self.rep.stats.num_sites;
+        let tables = &ctx.tables[id];
+        let (tl_bytes, ts, dt) = timed(ctx.ptrace, || {
+            run_device_batch(
+                &ctx.dispatchers[id],
+                tables,
+                ctx.cfg.variant,
+                tables.upload_bytes(),
+                ctx.cfg.device.coalesced_bw,
+                &mut arenas,
+                &mut self.scratch,
+                &mut self.rep.times,
+                &mut self.rep.wall,
+                &mut self.rep.stats,
+            )
+        });
+        self.windows += k as u64;
+        self.rep.stage.busy += dt;
+        if idx % ctx.dispatchers.len() != id {
+            self.steals += k as u64;
+            ctx.tracker.lane_steal(id, k as u64);
+            if let Some(pt) = ctx.ptrace {
+                for _ in 0..k {
+                    pt.lane_steal(id, ts);
+                }
+            }
+        }
+        ctx.tracker
+            .lane_batch(id, k as u64, self.rep.stats.num_sites - sites_before, dt);
+        if let Some(j) = ctx.journal {
+            j.event(
+                "batch",
+                &format!("\"lane\":{id},\"idx\":{idx},\"windows\":{k},\"busy_seconds\":{dt:.6}"),
+            );
+        }
+        if let Some(pt) = ctx.ptrace {
+            // Every batch but the last is full, so the batch's first
+            // global window index is exact.
+            let first = (idx * ctx.batch_size * ctx.num_samples) as u64;
+            emit_lane_batch(pt, id, ts, dt, first, k);
+        }
+        Scored {
+            idx,
+            arenas,
+            tl_bytes,
+            dev: id,
+        }
+    }
+}
+
+/// `posterior`: per-window genotype calls, demuxed per sample, with the
+/// site policies applied.
+struct PosteriorStage<'a> {
+    ctx: &'a Ctx<'a>,
+    tallies: PostTallies,
+    rep: StageReport,
+}
+
+impl<'a> PosteriorStage<'a> {
+    fn new(ctx: &'a Ctx<'a>) -> Self {
+        PosteriorStage {
+            ctx,
+            tallies: PostTallies::new(ctx.num_samples),
+            rep: StageReport::default(),
+        }
+    }
+
+    fn call(&mut self, scored: Scored) -> Called {
+        let ctx = self.ctx;
+        let busy_ts = trace_now(ctx.ptrace);
+        let busy_start = Instant::now();
+        let Scored {
+            idx,
+            arenas,
+            tl_bytes,
+            dev,
+        } = scored;
+        let wins = arenas.len() / ctx.num_samples;
+        let mut per_sample: PerSample = (0..ctx.num_samples)
+            .map(|_| Vec::with_capacity(wins))
+            .collect();
+        let mut row_count = 0u64;
+        let t0 = Instant::now();
+        for (i, arena) in arenas.into_iter().enumerate() {
+            let sample = i / wins;
+            let start = arena.window.start;
+            let mut rows = posterior_rows(
+                start,
+                &arena.type_likely,
+                &arena.sw.summaries,
+                ctx.reference,
+                ctx.priors,
+                &ctx.cfg.params,
+            );
+            apply_site_policies(
+                &mut rows,
+                start,
+                sample,
+                &ctx.gates,
+                ctx.bad_sites,
+                &mut self.tallies,
+            );
+            let snps = rows.iter().filter(|r| r.is_variant()).count() as u64;
+            self.tallies.snp[sample] += snps;
+            self.rep.stats.snp_count += snps;
+            row_count += rows.len() as u64;
+            per_sample[sample].push((start, rows));
+            ctx.pool.checkin(arena);
+        }
+        let dt = t0.elapsed().as_secs_f64();
+        self.rep.wall.posterior += dt;
+        // Device model for posterior: the per-site arithmetic is cheap;
+        // the cost is dominated by moving type_likely down and result
+        // columns back (the paper attributes its modest posterior speedup
+        // to exactly this transfer overhead). The readback crosses the
+        // PCIe link of the device that scored the batch — one transfer
+        // per batch.
+        let mut post_stats = LaunchStats::default();
+        ctx.dispatchers[dev]
+            .device()
+            .charge_d2h(&mut post_stats, tl_bytes + row_count * 32);
+        self.rep.times.posterior += dt.min(post_stats.sim_time * 4.0) + post_stats.sim_time;
+        let dt = busy_start.elapsed().as_secs_f64();
+        self.rep.stage.busy += dt;
+        ctx.tracker.stage_busy(STAGE_POSTERIOR, dt);
+        if let Some(pt) = ctx.ptrace {
+            pt.posterior_span(busy_ts, dt);
+        }
+        Called {
+            idx,
+            per_sample,
+            dev,
+        }
+    }
+}
+
+/// `output`: restores batch order and compresses each sample's windows
+/// into that sample's stream.
+struct OutputStage<'a> {
+    ctx: &'a Ctx<'a>,
+    reasm: OrderedReassembler<(PerSample, usize)>,
+    tables: Vec<Vec<SnpTable>>,
+    compressed: Vec<Vec<u8>>,
+    rep: StageReport,
+}
+
+impl<'a> OutputStage<'a> {
+    fn new(ctx: &'a Ctx<'a>) -> Self {
+        OutputStage {
+            ctx,
+            reasm: OrderedReassembler::new(),
+            tables: (0..ctx.num_samples).map(|_| Vec::new()).collect(),
+            compressed: (0..ctx.num_samples).map(|_| Vec::new()).collect(),
+            rep: StageReport::default(),
+        }
+    }
+
+    fn accept(&mut self, called: Called) {
+        let ctx = self.ctx;
+        let gpu_output = ctx.cfg.gpu_output;
+        let busy_ts = trace_now(ctx.ptrace);
+        let busy_start = Instant::now();
+        // In-order arrivals (the common case at one device: every stage
+        // is one thread over FIFO channels) take the allocation-free
+        // `offer` fast path; batches that overtook a sibling on another
+        // device drain via `pop_ready`. Keyed by batch index, so every
+        // stream is byte-identical at any (batch, depth, devices).
+        let mut next = self
+            .reasm
+            .offer(called.idx, (called.per_sample, called.dev));
+        while let Some((per_sample, dev)) = next {
+            let t0 = Instant::now();
+            let mut sim_time = 0.0;
+            for (sample, windows) in per_sample.into_iter().enumerate() {
+                // One compression group per (sample, batch), on the device
+                // that scored the batch. Grouping invariance
+                // (`tests/batch_parity.rs`) keeps each stream
+                // byte-identical to a single-sample run.
+                let batch_tables: Vec<SnpTable> = windows
+                    .into_iter()
+                    .map(|(start, rows)| SnpTable::new(ctx.reference.name.clone(), start, rows))
+                    .collect();
+                let out = &mut self.compressed[sample];
+                if gpu_output {
+                    sim_time +=
+                        column::write_windows_gpu_batch(&ctx.dispatchers[dev], out, &batch_tables)
+                            .sim_time;
+                } else {
+                    for table in &batch_tables {
+                        column::write_window(out, table);
+                    }
+                }
+                self.tables[sample].extend(batch_tables);
+            }
+            let dt = t0.elapsed().as_secs_f64();
+            self.rep.wall.output += dt;
+            self.rep.times.output += if gpu_output {
+                // Device columns overlap host columns; charge the slower
+                // plus the (dominant) host write of the compressed bytes.
+                sim_time + dt * 0.25
+            } else {
+                dt
+            };
+            next = self.reasm.pop_ready();
+        }
+        let dt = busy_start.elapsed().as_secs_f64();
+        self.rep.stage.busy += dt;
+        ctx.tracker.stage_busy(STAGE_OUTPUT, dt);
+        if let Some(pt) = ctx.ptrace {
+            pt.output_span(busy_ts, dt);
+        }
+    }
+}
+
 /// Join a scoped stage thread, propagating its panic.
-pub(crate) fn join_stage<T>(h: std::thread::ScopedJoinHandle<'_, T>) -> T {
+fn join_stage<T>(h: std::thread::ScopedJoinHandle<'_, T>) -> T {
     h.join().unwrap_or_else(|e| std::panic::resume_unwind(e))
 }
 
 /// Append the end-of-run lifecycle events the pipeline owns — per-stage
 /// busy/stall totals, per-lane window/steal counts, per-device ledger
 /// and sanitizer summaries, and the merged contract proof tally — to the
-/// run journal. Shared by [`GsnpPipeline`] and
-/// [`crate::cohort::CohortPipeline`]; the CLI brackets these with the
-/// `run_start` manifest and `run_end` summary.
-pub(crate) fn journal_run_stats(j: &Journal, stats: &PipelineStats) {
+/// run journal. The CLI brackets these with the `run_start` manifest and
+/// `run_end` summary.
+fn journal_run_stats(j: &Journal, stats: &PipelineStats) {
     let ov = &stats.overlap;
     for (name, st) in [
         ("read", &ov.read),
@@ -1217,7 +1173,7 @@ pub(crate) fn journal_run_stats(j: &Journal, stats: &PipelineStats) {
 /// kernel's output columns. One per device lane, recycled across batches
 /// so the steady state allocates nothing (`tests/alloc_steady_state.rs`).
 #[derive(Default)]
-pub(crate) struct BatchScratch {
+struct BatchScratch {
     words: Vec<u32>,
     spans: Vec<(usize, usize)>,
     site_off: Vec<usize>,
@@ -1228,13 +1184,12 @@ pub(crate) struct BatchScratch {
 
 /// One batch's device-stage work — counting (with a single coalesced
 /// upload), ONE multipass sort launch group, ONE fused counting+
-/// likelihood launch spanning every batched site, recycle — shared
-/// verbatim by the serial loop and every sharded device worker, so the
-/// two paths cannot drift. Scatters `type_likely` and `summaries` back
+/// likelihood launch spanning every batched site, recycle — run by every
+/// device lane of the executor. Scatters `type_likely` and `summaries` back
 /// into each window's arena. Returns the batch's total `type_likely`
 /// byte count the posterior stage charges for reading back.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn run_device_batch<B: ComputeBackend>(
+fn run_device_batch<B: ComputeBackend>(
     dev: &B,
     tables: &DeviceTables,
     variant: KernelVariant,
@@ -1345,14 +1300,14 @@ fn emit_lane_batch(pt: &PipelineTrace, lane: usize, ts: f64, dt: f64, first_wind
 
 /// Per-stage partial accumulators, merged into the run totals at join.
 #[derive(Default)]
-pub(crate) struct StageReport {
-    pub(crate) times: ComponentTimes,
-    pub(crate) wall: ComponentTimes,
-    pub(crate) stats: PipelineStats,
-    pub(crate) stage: StageStats,
+struct StageReport {
+    times: ComponentTimes,
+    wall: ComponentTimes,
+    stats: PipelineStats,
+    stage: StageStats,
 }
 
-pub(crate) fn add_times(a: &mut ComponentTimes, b: &ComponentTimes) {
+fn add_times(a: &mut ComponentTimes, b: &ComponentTimes) {
     a.cal_p += b.cal_p;
     a.read_site += b.read_site;
     a.counting += b.counting;
@@ -1363,7 +1318,7 @@ pub(crate) fn add_times(a: &mut ComponentTimes, b: &ComponentTimes) {
     a.recycle += b.recycle;
 }
 
-pub(crate) fn merge_stats(a: &mut PipelineStats, b: &PipelineStats) {
+fn merge_stats(a: &mut PipelineStats, b: &PipelineStats) {
     a.num_sites += b.num_sites;
     a.num_obs += b.num_obs;
     a.windows += b.windows;
@@ -1397,7 +1352,7 @@ fn trace_now(pt: Option<&PipelineTrace>) -> f64 {
     pt.map_or(0.0, PipelineTrace::now)
 }
 
-/// Satellite 2: in debug builds a traced run re-derives every
+/// In debug builds a traced run re-derives every
 /// [`OverlapStats`] busy/stall total from the recorded spans and panics
 /// on divergence; release builds compile this away entirely.
 #[cfg(debug_assertions)]
@@ -1416,7 +1371,7 @@ fn debug_verify_trace(pt: Option<&PipelineTrace>, overlap: &OverlapStats) {
 
 /// The per-site posterior loop, parallelized over sites (rayon). The map
 /// is order-preserving, so results are identical to the sequential loop.
-pub(crate) fn posterior_rows(
+fn posterior_rows(
     start: u64,
     type_likely: &[[f64; NUM_GENOTYPES]],
     summaries: &[crate::model::SiteSummary],

@@ -7,12 +7,14 @@
 //! producer (read_site) ─► device (counting+likelihood) ─► posterior ─► output
 //! ```
 //!
-//! [`crate::pipeline::GsnpPipeline`] runs these stages on dedicated host
-//! threads connected by bounded channels of configurable depth
-//! (`GsnpConfig::pipeline_depth`), so window *k*'s host-side work overlaps
-//! window *k+1*'s device work — the double-buffering a CUDA implementation
-//! gets from streams. This module holds the pieces shared by that executor
-//! and by the parallel SOAPsnp serializer:
+//! The window-loop executor in [`crate::pipeline`] (behind both
+//! [`crate::pipeline::GsnpPipeline`] and [`crate::cohort::CohortPipeline`])
+//! runs these stages on dedicated host threads connected by bounded
+//! channels of configurable depth (`GsnpConfig::pipeline_depth`), so
+//! window *k*'s host-side work overlaps window *k+1*'s device work — the
+//! double-buffering a CUDA implementation gets from streams. This module
+//! holds the pieces shared by that executor and by the parallel SOAPsnp
+//! serializer:
 //!
 //! * [`OrderedReassembler`] — restores window-index order on the output
 //!   side, which is what keeps the compressed result file byte-identical
@@ -116,31 +118,6 @@ impl<T> OrderedReassembler<T> {
     pub fn is_drained(&self) -> bool {
         self.pending.is_empty()
     }
-}
-
-/// Split a sample-major cohort batch into per-sample runs.
-///
-/// The cohort producer concatenates the same `k` windows of every sample
-/// into one device batch, ordered `[s0:w0..wk-1][s1:w0..wk-1]…` — one
-/// launch scores all samples, and this inverse recovers each sample's
-/// contiguous slice for per-sample posterior/output handling. `items.len()`
-/// must be an exact multiple of `num_samples` (every sample reads the same
-/// window grid, a structural property of [`seqio::window::WindowReader`]'s
-/// reference-tiling).
-pub fn demux_sample_major<T>(items: Vec<T>, num_samples: usize) -> Vec<Vec<T>> {
-    assert!(num_samples > 0, "cohort batch needs at least one sample");
-    assert_eq!(
-        items.len() % num_samples,
-        0,
-        "sample-major batch of {} items does not divide into {} samples",
-        items.len(),
-        num_samples
-    );
-    let per_sample = items.len() / num_samples;
-    let mut it = items.into_iter();
-    (0..num_samples)
-        .map(|_| it.by_ref().take(per_sample).collect())
-        .collect()
 }
 
 /// Busy/stall breakdown for one pipeline stage.
@@ -360,9 +337,10 @@ impl PipelineTrace {
 
 /// Absolute tolerance for busy/stall reconciliation. Spans carry the
 /// identical `f64` values the stage accumulators add, so per-track sums in
-/// record order reproduce the accumulator bit-for-bit; the serial loop's
-/// device lane regroups four component sums per window, which this bound
-/// covers with orders of magnitude to spare.
+/// record order reproduce the accumulator bit-for-bit; a device lane's
+/// per-window spans slice each batch's busy interval, and the regrouping
+/// error of re-summing the slices sits orders of magnitude below this
+/// bound.
 const CONSISTENCY_TOL: f64 = 1e-9;
 
 /// Verify that `OverlapStats` busy/stall totals equal the summed durations
@@ -473,28 +451,6 @@ pub fn verify_overlap_consistency(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn demux_sample_major_recovers_per_sample_runs() {
-        // 2 samples × 3 windows, sample-major.
-        let items = vec!["s0w0", "s0w1", "s0w2", "s1w0", "s1w1", "s1w2"];
-        let per = demux_sample_major(items, 2);
-        assert_eq!(per[0], vec!["s0w0", "s0w1", "s0w2"]);
-        assert_eq!(per[1], vec!["s1w0", "s1w1", "s1w2"]);
-        // One sample is the identity.
-        assert_eq!(demux_sample_major(vec![1, 2, 3], 1), vec![vec![1, 2, 3]]);
-        // Empty batch demuxes to empty runs.
-        assert_eq!(
-            demux_sample_major(Vec::<u8>::new(), 3),
-            vec![vec![], vec![], Vec::<u8>::new()]
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "does not divide")]
-    fn demux_rejects_ragged_batches() {
-        let _ = demux_sample_major(vec![1, 2, 3], 2);
-    }
 
     #[test]
     fn in_order_input_passes_through() {

@@ -7,15 +7,14 @@
 //! gsnp call    <alignments.soap> <reference.fa> <priors.txt> <out.gsnp>
 //!              [--window N] [--devices N] [--batch N] [--backend B] [--cpu]
 //!              [--contracts] [--text <out.txt>] [--trace <out.json>]
-//!              [--metrics <out.prom>] [--auto-threshold N]
+//!              [--metrics <out.prom>]
 //!              [--progress] [--quiet|-q] [--journal <run.jsonl>]
 //!              [--stats-addr HOST:PORT] [--stats-hold MS]
 //! gsnp call    --cohort <cohort.tsv> <reference.fa> <priors.txt> <out_dir>
 //!              [--min-quality Q] [--min-depth D] [--bad-sites <file>]
 //!              [--bad-site-threshold N] [...call flags]
 //! gsnp profile [--sites N] [--depth X] [--devices N] [--pipeline-depth N]
-//!              [--batch N] [--backend B] [--seed S] [--samples N]
-//!              [--auto-threshold N] [--trace <out.json>]
+//!              [--batch N] [--seed S] [--samples N] [--trace <out.json>]
 //! gsnp analyze [--sites N] [--window N] [--seed S]
 //! gsnp decode  <in.gsnp> [<out.txt>]
 //! gsnp stats   <in.gsnp> [--format prom]
@@ -64,9 +63,7 @@ use gsnp::core::{
     call_metrics, BadSiteList, CohortCallConfig, CohortPipeline, GsnpConfig, GsnpCpuPipeline,
     GsnpPipeline, Journal, ProgressTracker, QualityGates, SampleReads, StatsServer,
 };
-use gsnp::gpu_sim::{
-    AutoPolicy, BackendChoice, MetricKind, MetricsSnapshot, TraceRecorder, TraceSnapshot,
-};
+use gsnp::gpu_sim::{BackendChoice, MetricKind, MetricsSnapshot, TraceRecorder, TraceSnapshot};
 use gsnp::seqio::fasta::Reference;
 use gsnp::seqio::prior::PriorMap;
 use gsnp::seqio::soap::{write_alignments, AlignmentReader};
@@ -87,9 +84,9 @@ fn main() -> ExitCode {
             eprintln!(
                 "usage: gsnp <synth|call|profile|analyze|decode|stats|report|validate-trace> ...\n\
                  synth  <out_dir> [--sites N] [--depth X] [--seed S] [--samples N] [--shared-rate X]\n\
-                 call   <alignments.soap> <reference.fa> <priors.txt> <out.gsnp> [--window N] [--devices N] [--batch N] [--backend sim|native|auto] [--auto-threshold N] [--cpu] [--contracts] [--text out.txt] [--trace out.json] [--metrics out.prom] [--progress] [--quiet|-q] [--journal run.jsonl] [--stats-addr HOST:PORT] [--stats-hold MS]\n\
+                 call   <alignments.soap> <reference.fa> <priors.txt> <out.gsnp> [--window N] [--devices N] [--batch N] [--backend sim|native] [--cpu] [--contracts] [--text out.txt] [--trace out.json] [--metrics out.prom] [--progress] [--quiet|-q] [--journal run.jsonl] [--stats-addr HOST:PORT] [--stats-hold MS]\n\
                  call   --cohort <cohort.tsv> <reference.fa> <priors.txt> <out_dir> [--min-quality Q] [--min-depth D] [--bad-sites file] [--bad-site-threshold N] [...call flags]\n\
-                 profile [--sites N] [--depth X] [--devices N] [--pipeline-depth N] [--batch N] [--backend sim|auto] [--auto-threshold N] [--seed S] [--samples N] [--trace out.json]\n\
+                 profile [--sites N] [--depth X] [--devices N] [--pipeline-depth N] [--batch N] [--seed S] [--samples N] [--trace out.json]\n\
                  analyze [--sites N] [--window N] [--seed S]\n\
                  decode <in.gsnp> [<out.txt>]\n\
                  stats  <in.gsnp> [--format prom]\n\
@@ -117,23 +114,58 @@ fn flag_value<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
         .map(String::as_str)
 }
 
-fn backend_flag(args: &[String]) -> Result<BackendChoice, Box<dyn std::error::Error>> {
-    match flag_value(args, "--backend") {
-        None => Ok(BackendChoice::Sim),
-        Some(s) => BackendChoice::parse(s)
-            .ok_or_else(|| format!("unknown backend {s:?} (expected sim, native, or auto)").into()),
+/// Numeric flag `name`, or `default` when absent; a malformed value is an
+/// error that names the flag.
+fn num_flag<T>(args: &[String], name: &str, default: T) -> Result<T, String>
+where
+    T: std::str::FromStr,
+    T::Err: std::fmt::Display,
+{
+    match flag_value(args, name) {
+        None => Ok(default),
+        Some(v) => v.parse().map_err(|e| format!("{name} {v:?}: {e}")),
     }
 }
 
-/// Auto-dispatch policy from `--auto-threshold` (minimum grid blocks for
-/// the native backend; smaller launches stay on the simulator where the
-/// per-launch fixed cost is lower).
-fn auto_flag(args: &[String]) -> Result<AutoPolicy, Box<dyn std::error::Error>> {
-    let mut policy = AutoPolicy::default();
-    if let Some(v) = flag_value(args, "--auto-threshold") {
-        policy.native_min_blocks = v.parse()?;
+/// The device-pipeline config shared by `call`, `call --cohort` and
+/// `profile`: `--window`, `--devices`, `--batch`, `--backend` and
+/// `--contracts`, plus a trace recorder when `trace` is set. A zero
+/// window or device count, and a traced native run, are refused here
+/// with an error naming the flag — before any input is read or any
+/// pipeline thread starts.
+fn device_config(
+    args: &[String],
+    default_window: usize,
+    trace: bool,
+) -> Result<GsnpConfig, Box<dyn std::error::Error>> {
+    let window_size = num_flag(args, "--window", default_window)?;
+    if window_size == 0 {
+        return Err("--window must be at least 1 site".into());
     }
-    Ok(policy)
+    let num_devices = num_flag(args, "--devices", 1)?;
+    if num_devices == 0 {
+        return Err("--devices must be at least 1".into());
+    }
+    let backend = match flag_value(args, "--backend") {
+        None => BackendChoice::Sim,
+        Some(s) => BackendChoice::parse(s)
+            .ok_or_else(|| format!("--backend {s:?}: expected sim or native"))?,
+    };
+    if trace && backend == BackendChoice::Native {
+        return Err(
+            "--backend native cannot trace (kernel counters are sim-only); use --backend sim"
+                .into(),
+        );
+    }
+    Ok(GsnpConfig {
+        window_size,
+        num_devices,
+        launch_batch: num_flag(args, "--batch", 0)?,
+        backend,
+        contracts: args.iter().any(|a| a == "--contracts"),
+        trace: trace.then(|| Arc::new(TraceRecorder::new(gsnp::gpu_sim::trace::DEFAULT_CAPACITY))),
+        ..Default::default()
+    })
 }
 
 fn positional(args: &[String]) -> Vec<&String> {
@@ -415,41 +447,22 @@ fn cmd_call(args: &[String]) -> CliResult {
     let [aln, fa, prior, out] = pos.as_slice() else {
         return Err("call requires <alignments> <reference> <priors> <out.gsnp>".into());
     };
+    let cpu = args.iter().any(|a| a == "--cpu");
+    let traced = flag_value(args, "--trace").is_some();
+    if traced && cpu {
+        return Err("--trace requires the device pipeline (drop --cpu)".into());
+    }
+    let mut cfg = device_config(args, 256_000, traced)?;
+    let recorder = cfg.trace.clone();
+    let contracts = cfg.contracts;
     let reference = Reference::read_fasta(BufReader::new(open(fa)?))?;
     let priors = PriorMap::read(BufReader::new(open(prior)?))?;
     let reads: Vec<_> =
         AlignmentReader::new(BufReader::new(open(aln)?)).collect::<Result<_, _>>()?;
 
-    let cpu = args.iter().any(|a| a == "--cpu");
-    let backend = backend_flag(args)?;
-    let recorder = match flag_value(args, "--trace") {
-        Some(_) if cpu => return Err("--trace requires the device pipeline (drop --cpu)".into()),
-        Some(_) if backend == BackendChoice::Native => {
-            return Err(
-                "--backend native cannot trace (kernel counters are sim-only); \
-                 use --backend sim or auto"
-                    .into(),
-            )
-        }
-        Some(_) => Some(Arc::new(TraceRecorder::new(
-            gsnp::gpu_sim::trace::DEFAULT_CAPACITY,
-        ))),
-        None => None,
-    };
-    let contracts = args.iter().any(|a| a == "--contracts");
     let intro = Introspection::from_args(args)?;
-    let cfg = GsnpConfig {
-        window_size: flag_value(args, "--window").map_or(Ok(256_000), str::parse)?,
-        num_devices: flag_value(args, "--devices").map_or(Ok(1), str::parse)?,
-        launch_batch: flag_value(args, "--batch").map_or(Ok(0), str::parse)?,
-        contracts,
-        trace: recorder.clone(),
-        backend,
-        auto: auto_flag(args)?,
-        progress: Some(Arc::clone(&intro.tracker)),
-        journal: intro.journal.clone(),
-        ..Default::default()
-    };
+    cfg.progress = Some(Arc::clone(&intro.tracker));
+    cfg.journal = intro.journal.clone();
     intro.journal_run_start("call", &cfg, &[aln, fa, prior])?;
     let result = if cpu {
         GsnpCpuPipeline::new(cfg).run(&reads, &reference, &priors)
@@ -511,6 +524,8 @@ fn cmd_call_cohort(args: &[String]) -> CliResult {
     let [fa, prior, out_dir] = pos.as_slice() else {
         return Err("call --cohort requires <cohort.tsv> <reference> <priors> <out_dir>".into());
     };
+    let mut base = device_config(args, 256_000, flag_value(args, "--trace").is_some())?;
+    let recorder = base.trace.clone();
     let reference = Reference::read_fasta(BufReader::new(open(fa)?))?;
     let priors = PriorMap::read(BufReader::new(open(prior)?))?;
 
@@ -547,34 +562,9 @@ fn cmd_call_cohort(args: &[String]) -> CliResult {
         .map(|(name, reads)| SampleReads { name, reads })
         .collect();
 
-    let backend = backend_flag(args)?;
-    let recorder = match flag_value(args, "--trace") {
-        Some(_) if backend == BackendChoice::Native => {
-            return Err(
-                "--backend native cannot trace (kernel counters are sim-only); \
-                 use --backend sim or auto"
-                    .into(),
-            )
-        }
-        Some(_) => Some(Arc::new(TraceRecorder::new(
-            gsnp::gpu_sim::trace::DEFAULT_CAPACITY,
-        ))),
-        None => None,
-    };
-    let contracts = args.iter().any(|a| a == "--contracts");
     let intro = Introspection::from_args(args)?;
-    let base = GsnpConfig {
-        window_size: flag_value(args, "--window").map_or(Ok(256_000), str::parse)?,
-        num_devices: flag_value(args, "--devices").map_or(Ok(1), str::parse)?,
-        launch_batch: flag_value(args, "--batch").map_or(Ok(0), str::parse)?,
-        contracts,
-        trace: recorder.clone(),
-        backend,
-        auto: auto_flag(args)?,
-        progress: Some(Arc::clone(&intro.tracker)),
-        journal: intro.journal.clone(),
-        ..Default::default()
-    };
+    base.progress = Some(Arc::clone(&intro.tracker));
+    base.journal = intro.journal.clone();
     intro.journal_run_start("call --cohort", &base, &[manifest_path, fa, prior])?;
     let gates = QualityGates {
         min_quality: flag_value(args, "--min-quality").map_or(Ok(0), str::parse)?,
@@ -706,23 +696,13 @@ fn cmd_profile(args: &[String]) -> CliResult {
     synth.depth = flag_value(args, "--depth").map_or(Ok(10.0), str::parse)?;
     synth.read_len = 100;
 
-    let backend = backend_flag(args)?;
-    if backend == BackendChoice::Native {
-        return Err("profile always traces, and kernel counters are sim-only; \
-             use --backend sim or auto (auto dispatches all-sim under trace)"
-            .into());
-    }
-    let recorder = Arc::new(TraceRecorder::new(gsnp::gpu_sim::trace::DEFAULT_CAPACITY));
+    // Profile always traces, and kernel counters are sim-only: the
+    // simulator is the only backend it runs.
     let cfg = GsnpConfig {
-        window_size: flag_value(args, "--window").map_or(Ok(16_000), str::parse)?,
-        num_devices: flag_value(args, "--devices").map_or(Ok(1), str::parse)?,
-        pipeline_depth: flag_value(args, "--pipeline-depth").map_or(Ok(2), str::parse)?,
-        launch_batch: flag_value(args, "--batch").map_or(Ok(0), str::parse)?,
-        trace: Some(Arc::clone(&recorder)),
-        backend,
-        auto: auto_flag(args)?,
-        ..Default::default()
+        pipeline_depth: num_flag(args, "--pipeline-depth", 2)?,
+        ..device_config(args, 16_000, true)?
     };
+    let recorder = cfg.trace.clone().expect("profile always traces");
     let num_samples: usize = flag_value(args, "--samples").map_or(Ok(0), str::parse)?;
     if num_samples > 0 {
         // Cohort profile: one run over N synthetic samples sharing the
@@ -872,14 +852,13 @@ fn print_profile(
             overhead,
             wall
         );
-        // Backend dispatch totals (Auto decisions included).
         let mut backend = gsnp::gpu_sim::BackendTallies::default();
         for led in &stats.ledgers {
             backend.sum(&led.backend);
         }
         println!(
-            "  backend launches: {} sim, {} native (auto decisions: {} sim, {} native)",
-            backend.sim, backend.native, backend.auto_sim, backend.auto_native
+            "  backend launches: {} sim, {} native",
+            backend.sim, backend.native
         );
     }
 

@@ -160,3 +160,57 @@ fn empty_chromosome_with_no_reads() {
         out.compressed.len()
     );
 }
+
+/// A zero window or device count is a named CLI error, for `call` and
+/// `call --cohort` alike: nonzero exit, but not a panic (exit 101), and
+/// stderr names the offending flag.
+#[test]
+fn cli_rejects_zero_window_and_devices_with_named_errors() {
+    use std::process::Command;
+
+    let gsnp = env!("CARGO_BIN_EXE_gsnp");
+    let dir = std::env::temp_dir().join(format!("gsnp-cli-zero-{}", std::process::id()));
+    let dir_s = dir.to_str().expect("utf-8 temp path");
+    let synth = Command::new(gsnp)
+        .args(["synth", dir_s, "--sites", "2000", "--samples", "2"])
+        .output()
+        .expect("run gsnp synth");
+    assert!(synth.status.success(), "synth failed: {synth:?}");
+    let path = |f: &str| dir.join(f).to_str().expect("utf-8 path").to_string();
+    let (reference, priors) = (path("reference.fa"), path("priors.txt"));
+    let single = vec![
+        path("s0.soap"),
+        reference.clone(),
+        priors.clone(),
+        path("out.gsnp"),
+    ];
+    let cohort = vec![
+        "--cohort".to_string(),
+        path("cohort.tsv"),
+        reference,
+        priors,
+        path("out"),
+    ];
+    for (cmd, inputs) in [("call", &single), ("call --cohort", &cohort)] {
+        for (flag, value) in [("--window", "0"), ("--devices", "0")] {
+            let out = Command::new(gsnp)
+                .arg("call")
+                .args(inputs)
+                .args([flag, value])
+                .output()
+                .expect("run gsnp call");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            let code = out.status.code();
+            assert!(
+                !out.status.success(),
+                "{cmd} {flag} 0 must fail, stderr: {stderr}"
+            );
+            assert_ne!(code, Some(101), "{cmd} {flag} 0 panicked: {stderr}");
+            assert!(
+                stderr.contains(flag),
+                "{cmd} {flag} 0: stderr does not name the flag: {stderr}"
+            );
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -15,17 +15,21 @@
 //! 4. **The trace reconciles with the stats.** Per-lane busy/stall
 //!    totals re-derived from spans match [`OverlapStats`] (the
 //!    `verify_overlap_consistency` assertion, here exercised through the
-//!    public API on a real 4-device run).
+//!    public API on a real 4-device run and on a 3-sample cohort run,
+//!    which shares the single-sample window-loop executor).
 
 use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use gsnp::core::{verify_overlap_consistency, GsnpConfig, GsnpPipeline};
+use gsnp::core::{
+    verify_overlap_consistency, CohortCallConfig, CohortPipeline, GsnpConfig, GsnpPipeline,
+    SampleReads,
+};
 use gsnp::gpu_sim::{
     validate_chrome_json, EventKind, SpanArgs, TraceRecorder, TraceSnapshot, TrackKind,
 };
-use gsnp::seqio::synth::{Dataset, SynthConfig};
+use gsnp::seqio::synth::{Cohort, CohortConfig, Dataset, SynthConfig};
 
 fn dataset() -> Dataset {
     let mut sc = SynthConfig::tiny(20_260_807);
@@ -191,6 +195,85 @@ fn four_device_trace_reconciles_with_overlap_stats() {
     // the window totals must still agree).
     let total_windows: u64 = out.overlap.devices.iter().map(|l| l.windows).sum();
     assert_eq!(total_windows, 4, "6000 sites / 1500 = 4 windows");
+}
+
+/// A cohort run shares the window-loop executor, so tracing it records
+/// the same host pipeline tracks as a single-sample run: every stage and
+/// device lane is present, the spans reconcile with the run's
+/// [`OverlapStats`], the export validates, and no sample's output bytes
+/// change.
+#[test]
+fn traced_cohort_records_every_pipeline_track() {
+    let mut sc = SynthConfig::tiny(20_260_808);
+    sc.num_sites = 6_000;
+    sc.depth = 3.0;
+    let c = Cohort::generate(CohortConfig {
+        base: sc,
+        num_samples: 3,
+        shared_rate: 0.6,
+    });
+    let inputs: Vec<SampleReads<'_>> = c
+        .samples
+        .iter()
+        .map(|s| SampleReads {
+            name: &s.name,
+            reads: &s.reads,
+        })
+        .collect();
+    let run = |trace: Option<Arc<TraceRecorder>>| {
+        CohortPipeline::new(CohortCallConfig {
+            base: GsnpConfig {
+                window_size: 1_500,
+                num_devices: 2,
+                pipeline_depth: 2,
+                trace,
+                ..Default::default()
+            },
+            ..Default::default()
+        })
+        .run(&inputs, &c.reference, &c.priors)
+    };
+    let plain = run(None);
+    let rec = Arc::new(TraceRecorder::new(1 << 16));
+    let traced = run(Some(Arc::clone(&rec)));
+    let snap = rec.snapshot();
+    assert_eq!(snap.dropped, 0, "ring sized for the whole run");
+
+    verify_overlap_consistency(&snap, &traced.stats.overlap)
+        .expect("cohort trace must reconcile with stats");
+    let n = validate_chrome_json(&snap.to_chrome_json()).expect("cohort trace validates");
+    assert!(n > 50, "expected a substantial event stream, got {n}");
+    let threads: Vec<&str> = snap
+        .tracks
+        .iter()
+        .filter(|t| t.process == "pipeline")
+        .map(|t| t.thread.as_str())
+        .collect();
+    for expected in [
+        "read_site",
+        "device lane 0",
+        "device lane 1",
+        "posterior",
+        "output",
+    ] {
+        assert!(threads.contains(&expected), "missing track {expected:?}");
+    }
+    assert_eq!(
+        traced
+            .stats
+            .overlap
+            .devices
+            .iter()
+            .map(|l| l.windows)
+            .sum::<u64>(),
+        12,
+        "6000 sites / 1500 = 4 windows per sample, 3 samples"
+    );
+
+    assert_eq!(plain.samples.len(), traced.samples.len());
+    for (p, t) in plain.samples.iter().zip(&traced.samples) {
+        assert_eq!(p.compressed, t.compressed, "{}: bytes differ", p.name);
+    }
 }
 
 /// Golden-file schema pin for the Chrome exporter: a hand-built recorder
