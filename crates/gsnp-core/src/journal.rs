@@ -24,6 +24,8 @@ use std::time::Instant;
 use gpu_sim::{parse_json, HistogramDigest, Json};
 use parking_lot::Mutex;
 
+use crate::stream::RunEvent;
+
 /// Journal schema version stamped into every `run_start` event.
 pub const SCHEMA_VERSION: u64 = 1;
 
@@ -67,6 +69,26 @@ impl Journal {
         };
         if r.is_err() {
             self.write_failed.store(true, Ordering::Relaxed);
+        }
+    }
+
+    /// Fold one window-loop event in: each device-lane batch becomes one
+    /// `batch` line; stage spans stay in the end-of-run `stage` totals.
+    pub fn record(&self, ev: &RunEvent) {
+        if let RunEvent::Batch {
+            lane,
+            idx,
+            windows,
+            busy,
+            ..
+        } = *ev
+        {
+            self.event(
+                "batch",
+                &format!(
+                    "\"lane\":{lane},\"idx\":{idx},\"windows\":{windows},\"busy_seconds\":{busy:.6}"
+                ),
+            );
         }
     }
 

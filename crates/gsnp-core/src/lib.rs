@@ -48,6 +48,7 @@ pub use pipeline::{ComponentTimes, GsnpConfig, GsnpCpuPipeline, GsnpOutput, Gsnp
 pub use progress::{LaneProgress, LatencyHists, ProgressSnapshot, ProgressTracker};
 pub use serve::StatsServer;
 pub use stream::{
-    verify_overlap_consistency, OrderedReassembler, OverlapStats, PipelineTrace, StageStats,
+    verify_overlap_consistency, OrderedReassembler, OverlapStats, Phase, PipelineTrace, RunEvent,
+    Stage, StageStats,
 };
 pub use tables::{LogTable, NewPMatrix, PMatrix, SharedTables};

@@ -194,21 +194,8 @@ fn run_metrics(
     for (i, lane) in ov.devices.iter().enumerate() {
         let dev = i.to_string();
         push_stage(&mut m, &[("stage", "lane"), ("device", &dev)], &lane.stage);
-        m.push(
-            "gsnp_lane_windows_total",
-            "Windows scored by each device lane",
-            Counter,
-            &[("device", &dev)],
-            lane.windows as f64,
-        );
-        m.push(
-            "gsnp_lane_steals_total",
-            "Windows a lane pulled off its home-device residue class",
-            Counter,
-            &[("device", &dev)],
-            lane.steals as f64,
-        );
     }
+    push_lane_series(&mut m, ov.devices.iter().map(|l| (l.windows, l.steals)));
 
     // ---- per-device ledgers ----
     for (i, led) in stats.ledgers.iter().enumerate() {
@@ -411,6 +398,35 @@ fn run_metrics(
     }
 
     m
+}
+
+/// Push the per-lane `gsnp_lane_windows_total` and
+/// `gsnp_lane_steals_total` series from `(windows, steals)` pairs in lane
+/// order — shared by the live endpoint and the end-of-run exposition, so
+/// both carry one HELP text.
+pub(crate) fn push_lane_series(
+    m: &mut MetricsSnapshot,
+    lanes: impl IntoIterator<Item = (u64, u64)>,
+) {
+    use MetricKind::Counter;
+    for (i, (windows, steals)) in lanes.into_iter().enumerate() {
+        let dev = i.to_string();
+        let l = &[("device", dev.as_str())];
+        m.push(
+            "gsnp_lane_windows_total",
+            "Windows scored by each device lane",
+            Counter,
+            l,
+            windows as f64,
+        );
+        m.push(
+            "gsnp_lane_steals_total",
+            "Windows a device lane scored off its round-robin home lane",
+            Counter,
+            l,
+            steals as f64,
+        );
+    }
 }
 
 fn push_stage(m: &mut MetricsSnapshot, labels: &[(&str, &str)], st: &StageStats) {

@@ -50,8 +50,11 @@ use crate::likelihood::{
     likelihood_comp_fused_gpu_into, likelihood_sort_gpu_into, DeviceTables, KernelVariant,
 };
 use crate::model::{posterior, ModelParams, SiteSummary, NUM_GENOTYPES};
-use crate::progress::{LatencyHists, ProgressTracker, STAGE_OUTPUT, STAGE_POSTERIOR, STAGE_READ};
-use crate::stream::{DeviceLaneStats, OrderedReassembler, OverlapStats, PipelineTrace, StageStats};
+use crate::progress::{LatencyHists, ProgressTracker};
+use crate::stream::{
+    verify_overlap_consistency, OrderedReassembler, OverlapStats, Phase, PipelineTrace, RunEvent,
+    Stage,
+};
 use crate::tables::SharedTables;
 
 /// Per-component elapsed time in seconds, matching the columns of the
@@ -115,7 +118,9 @@ pub struct PipelineStats {
     /// Peak host memory attributable to the pipeline's buffers, bytes.
     pub peak_host_bytes: u64,
     /// Per-stage busy/stall accounting for the window loop, including the
-    /// per-device-worker breakdown ([`OverlapStats::devices`]).
+    /// per-device-worker breakdown ([`OverlapStats::devices`]), folded by
+    /// the run's [`crate::progress::ProgressTracker`] from the same event
+    /// stream as [`PipelineStats::hists`].
     pub overlap: OverlapStats,
     /// Host arena recycling counters for the window loop.
     pub arena: ArenaPoolStats,
@@ -241,9 +246,10 @@ pub struct GsnpConfig {
     /// Live heartbeat/latency tracker, shared with the CLI's `--progress`
     /// stderr thread and the `--stats-addr` HTTP endpoint so the run can
     /// be observed while the window loop executes. `None` (the default)
-    /// makes the pipeline create a private tracker — there is exactly
-    /// one recording path either way — whose histograms still land in
-    /// [`PipelineStats::hists`]. Recording never touches results: output
+    /// makes the pipeline create a private tracker. Either way the
+    /// tracker folds the run's event stream into
+    /// [`PipelineStats::overlap`] and [`PipelineStats::hists`], so hand
+    /// each run a fresh tracker. Recording never touches results: output
     /// is byte-identical with or without an external tracker.
     pub progress: Option<std::sync::Arc<ProgressTracker>>,
     /// Structured JSONL run journal (`--journal`). The pipeline appends
@@ -401,9 +407,8 @@ pub(crate) fn execute(
         num_samples >= 1,
         "the window loop needs at least one sample"
     );
-    // One tracker per run, external or private — every latency
-    // observation flows through it either way (see
-    // [`PipelineStats::hists`]).
+    // One tracker per run, external or private: it folds every
+    // `RunEvent` into the run's stats and histograms either way.
     let tracker = cfg
         .progress
         .clone()
@@ -502,12 +507,6 @@ pub(crate) fn execute(
     };
     let loop_wall = loop_start.elapsed().as_secs_f64();
 
-    let mut device = StageStats::default();
-    for lane in &lanes {
-        device.busy += lane.rep.stage.busy;
-        device.stall_in += lane.rep.stage.stall_in;
-        device.stall_out += lane.rep.stage.stall_out;
-    }
     for rep in lanes
         .iter()
         .map(|l| &l.rep)
@@ -519,21 +518,10 @@ pub(crate) fn execute(
     }
     stats.overlap = OverlapStats {
         depth: cfg.pipeline_depth.max(1),
-        read: read.rep.stage,
-        device,
-        devices: lanes
-            .iter()
-            .map(|l| DeviceLaneStats {
-                stage: l.rep.stage,
-                windows: l.windows,
-                steals: l.steals,
-            })
-            .collect(),
-        posterior: post.rep.stage,
-        output: out.rep.stage,
         wall: loop_wall,
+        ..tracker.overlap()
     };
-    debug_verify_trace(ctx.ptrace, &stats.overlap);
+    debug_verify_trace(cfg.trace.as_deref(), &stats.overlap);
     stats.arena = arena_pool.stats();
     let ledger = group.ledger();
     let total = ledger.total();
@@ -596,7 +584,6 @@ fn run_threaded<'a>(
 ) -> StageResults<'a> {
     let depth = ctx.cfg.pipeline_depth.max(1);
     let pt = ctx.ptrace;
-    let tracker = ctx.tracker;
     let (win_tx, win_rx) = bounded::<Produced>(depth);
     let (score_tx, score_rx) = bounded::<Scored>(depth);
     let (call_tx, call_rx) = bounded::<Called>(depth);
@@ -609,11 +596,7 @@ fn run_threaded<'a>(
                 if sent.is_err() {
                     break; // downstream died; its panic surfaces at join
                 }
-                read.rep.stage.stall_out += dt;
-                tracker.stage_stall(STAGE_READ, dt);
-                if let Some(pt) = pt {
-                    pt.read_stall_out(ts, dt);
-                }
+                ctx.record(RunEvent::span(Stage::Read, Phase::StallOut, ts, dt));
             }
             read
         });
@@ -627,20 +610,13 @@ fn run_threaded<'a>(
                     loop {
                         let (batch, ts, dt) = timed(pt, || win_rx.recv());
                         let Ok(batch) = batch else { break };
-                        lane.rep.stage.stall_in += dt;
-                        tracker.lane_wait(id, dt);
-                        if let Some(pt) = pt {
-                            pt.lane_stall_in(id, ts, dt);
-                        }
+                        ctx.record(RunEvent::span(Stage::Lane(id), Phase::StallIn, ts, dt));
                         let scored = lane.score(batch);
                         let (sent, ts, dt) = timed(pt, || score_tx.send(scored));
                         if sent.is_err() {
                             break;
                         }
-                        lane.rep.stage.stall_out += dt;
-                        if let Some(pt) = pt {
-                            pt.lane_stall_out(id, ts, dt);
-                        }
+                        ctx.record(RunEvent::span(Stage::Lane(id), Phase::StallOut, ts, dt));
                     }
                     lane
                 })
@@ -656,20 +632,13 @@ fn run_threaded<'a>(
             loop {
                 let (scored, ts, dt) = timed(pt, || score_rx.recv());
                 let Ok(scored) = scored else { break };
-                post.rep.stage.stall_in += dt;
-                tracker.stage_stall(STAGE_POSTERIOR, dt);
-                if let Some(pt) = pt {
-                    pt.posterior_stall_in(ts, dt);
-                }
+                ctx.record(RunEvent::span(Stage::Posterior, Phase::StallIn, ts, dt));
                 let called = post.call(scored);
                 let (sent, ts, dt) = timed(pt, || call_tx.send(called));
                 if sent.is_err() {
                     break;
                 }
-                post.rep.stage.stall_out += dt;
-                if let Some(pt) = pt {
-                    pt.posterior_stall_out(ts, dt);
-                }
+                ctx.record(RunEvent::span(Stage::Posterior, Phase::StallOut, ts, dt));
             }
             post
         });
@@ -678,11 +647,7 @@ fn run_threaded<'a>(
         loop {
             let (called, ts, dt) = timed(pt, || call_rx.recv());
             let Ok(called) = called else { break };
-            out.rep.stage.stall_in += dt;
-            tracker.stage_stall(STAGE_OUTPUT, dt);
-            if let Some(pt) = pt {
-                pt.output_stall_in(ts, dt);
-            }
+            ctx.record(RunEvent::span(Stage::Output, Phase::StallIn, ts, dt));
             out.accept(called);
         }
         let lanes = workers.into_iter().map(join_stage).collect();
@@ -707,6 +672,8 @@ struct Ctx<'a> {
     dispatchers: &'a [BackendDispatcher<'a>],
     tables: &'a [DeviceTables],
     pool: &'a ArenaPool,
+    /// The observers of the run's [`RunEvent`] stream (see
+    /// [`Ctx::record`]).
     tracker: &'a ProgressTracker,
     ptrace: Option<&'a PipelineTrace>,
     journal: Option<&'a Journal>,
@@ -714,6 +681,20 @@ struct Ctx<'a> {
     batch_size: usize,
     gates: QualityGates,
     bad_sites: &'a BadSiteList,
+}
+
+impl Ctx<'_> {
+    /// Hand one timed interval to every observer. Each stage interval
+    /// is recorded here exactly once.
+    fn record(&self, ev: RunEvent) {
+        self.tracker.record(&ev);
+        if let Some(pt) = self.ptrace {
+            pt.record(&ev);
+        }
+        if let Some(j) = self.journal {
+            j.record(&ev);
+        }
+    }
 }
 
 /// One sample-major launch batch handed from the producer to the device
@@ -795,11 +776,8 @@ impl<'a> ReadStage<'a> {
     fn record_busy(&mut self, ts: f64, dt: f64) {
         self.rep.wall.read_site += dt;
         self.rep.times.read_site += dt;
-        self.rep.stage.busy += dt;
-        self.ctx.tracker.stage_busy(STAGE_READ, dt);
-        if let Some(pt) = self.ctx.ptrace {
-            pt.read_span(ts, dt);
-        }
+        self.ctx
+            .record(RunEvent::span(Stage::Read, Phase::Busy, ts, dt));
     }
 
     /// Load sample `sample`'s next window into a pooled arena.
@@ -867,8 +845,6 @@ struct DeviceLane<'a> {
     ctx: &'a Ctx<'a>,
     id: usize,
     scratch: BatchScratch,
-    windows: u64,
-    steals: u64,
     rep: StageReport,
 }
 
@@ -878,8 +854,6 @@ impl<'a> DeviceLane<'a> {
             ctx,
             id,
             scratch: BatchScratch::default(),
-            windows: 0,
-            steals: 0,
             rep: StageReport::default(),
         }
     }
@@ -906,31 +880,18 @@ impl<'a> DeviceLane<'a> {
                 &mut self.rep.stats,
             )
         });
-        self.windows += k as u64;
-        self.rep.stage.busy += dt;
-        if idx % ctx.dispatchers.len() != id {
-            self.steals += k as u64;
-            ctx.tracker.lane_steal(id, k as u64);
-            if let Some(pt) = ctx.ptrace {
-                for _ in 0..k {
-                    pt.lane_steal(id, ts);
-                }
-            }
-        }
-        ctx.tracker
-            .lane_batch(id, k as u64, self.rep.stats.num_sites - sites_before, dt);
-        if let Some(j) = ctx.journal {
-            j.event(
-                "batch",
-                &format!("\"lane\":{id},\"idx\":{idx},\"windows\":{k},\"busy_seconds\":{dt:.6}"),
-            );
-        }
-        if let Some(pt) = ctx.ptrace {
+        ctx.record(RunEvent::Batch {
+            lane: id,
+            idx,
             // Every batch but the last is full, so the batch's first
             // global window index is exact.
-            let first = (idx * ctx.batch_size * ctx.num_samples) as u64;
-            emit_lane_batch(pt, id, ts, dt, first, k);
-        }
+            first_window: (idx * ctx.batch_size * ctx.num_samples) as u64,
+            windows: k as u64,
+            sites: self.rep.stats.num_sites - sites_before,
+            ts,
+            busy: dt,
+            stolen: idx % ctx.dispatchers.len() != id,
+        });
         Scored {
             idx,
             arenas,
@@ -1013,11 +974,7 @@ impl<'a> PosteriorStage<'a> {
             .charge_d2h(&mut post_stats, tl_bytes + row_count * 32);
         self.rep.times.posterior += dt.min(post_stats.sim_time * 4.0) + post_stats.sim_time;
         let dt = busy_start.elapsed().as_secs_f64();
-        self.rep.stage.busy += dt;
-        ctx.tracker.stage_busy(STAGE_POSTERIOR, dt);
-        if let Some(pt) = ctx.ptrace {
-            pt.posterior_span(busy_ts, dt);
-        }
+        ctx.record(RunEvent::span(Stage::Posterior, Phase::Busy, busy_ts, dt));
         Called {
             idx,
             per_sample,
@@ -1096,11 +1053,7 @@ impl<'a> OutputStage<'a> {
             next = self.reasm.pop_ready();
         }
         let dt = busy_start.elapsed().as_secs_f64();
-        self.rep.stage.busy += dt;
-        ctx.tracker.stage_busy(STAGE_OUTPUT, dt);
-        if let Some(pt) = ctx.ptrace {
-            pt.output_span(busy_ts, dt);
-        }
+        ctx.record(RunEvent::span(Stage::Output, Phase::Busy, busy_ts, dt));
     }
 }
 
@@ -1287,24 +1240,12 @@ fn run_device_batch<B: ComputeBackend>(
     tl_bytes
 }
 
-/// Emit `k` per-window lane spans that partition one batch's device-busy
-/// interval `[ts, ts + dt)` evenly. The trace verifier requires one span
-/// per window (`lane.windows` spans per lane) whose durations sum to the
-/// lane's busy time; slicing the measured interval keeps both exact.
-fn emit_lane_batch(pt: &PipelineTrace, lane: usize, ts: f64, dt: f64, first_window: u64, k: usize) {
-    let slice = dt / k as f64;
-    for j in 0..k {
-        pt.lane_window(lane, ts + slice * j as f64, slice, first_window + j as u64);
-    }
-}
-
 /// Per-stage partial accumulators, merged into the run totals at join.
 #[derive(Default)]
 struct StageReport {
     times: ComponentTimes,
     wall: ComponentTimes,
     stats: PipelineStats,
-    stage: StageStats,
 }
 
 fn add_times(a: &mut ComponentTimes, b: &ComponentTimes) {
@@ -1352,21 +1293,15 @@ fn trace_now(pt: Option<&PipelineTrace>) -> f64 {
     pt.map_or(0.0, PipelineTrace::now)
 }
 
-/// In debug builds a traced run re-derives every
-/// [`OverlapStats`] busy/stall total from the recorded spans and panics
-/// on divergence; release builds compile this away entirely.
-#[cfg(debug_assertions)]
-fn debug_verify_trace(pt: Option<&PipelineTrace>, overlap: &OverlapStats) {
-    if let Some(pt) = pt {
-        if let Err(e) = pt.verify(overlap) {
+/// In debug builds a traced run checks that the trace fold and the stats
+/// fold agree ([`OverlapStats`] against the recorded spans) and panics on
+/// divergence; release builds compile this away entirely.
+fn debug_verify_trace(rec: Option<&gpu_sim::TraceRecorder>, overlap: &OverlapStats) {
+    if let (true, Some(rec)) = (cfg!(debug_assertions), rec) {
+        if let Err(e) = verify_overlap_consistency(&rec.snapshot(), overlap) {
             panic!("trace/OverlapStats divergence: {e}");
         }
     }
-}
-
-#[cfg(not(debug_assertions))]
-fn debug_verify_trace(pt: Option<&PipelineTrace>, overlap: &OverlapStats) {
-    let _ = (pt, overlap);
 }
 
 /// The per-site posterior loop, parallelized over sites (rayon). The map

@@ -1,19 +1,20 @@
 //! Live run introspection: latency histograms and the heartbeat tracker.
 //!
-//! The streaming pipeline (see [`crate::pipeline`]) already times every
-//! batch, stage, and queue wait to assemble its end-of-run
-//! [`crate::stream::PipelineTrace`]. This module records those same
-//! durations into fixed-size log-bucketed [`Histogram`]s and a set of
-//! atomic progress counters, so a long run can be observed *while it
-//! executes*: a `--progress` stderr heartbeat, the `/metrics`,
+//! The window-loop executor (see [`crate::pipeline`]) emits one
+//! [`RunEvent`] per timed batch, stage interval and queue wait. This
+//! module holds two more folds of that one stream, next to the stats and
+//! trace folds in [`crate::stream`]: fixed-size log-bucketed
+//! [`Histogram`]s ([`LatencyHists::record`]) and a set of atomic progress
+//! counters ([`ProgressTracker::record`]), so a long run can be observed
+//! *while it executes*: a `--progress` stderr heartbeat, the `/metrics`,
 //! `/health`, and `/progress` HTTP endpoints (see [`crate::serve`]), and
 //! the post-run quantile table in `gsnp profile`.
 //!
 //! One [`ProgressTracker`] exists per run — the pipeline creates its own
 //! when the caller did not hand one in via
-//! [`crate::GsnpConfig::progress`] — so there is a single recording path
+//! [`crate::GsnpConfig::progress`] — so the stream is folded the same way
 //! whether or not anything is watching. Recording is a few atomic adds
-//! plus one short mutex-protected fold per *batch* (never per site), and
+//! plus one short mutex-protected fold per event (never per site), and
 //! the histograms themselves are fixed arrays, so the steady state stays
 //! allocation-free.
 
@@ -25,18 +26,11 @@ use gpu_sim::trace::MetricsSnapshot;
 use gpu_sim::{Histogram, HistogramDigest, SharedHistogram};
 use parking_lot::Mutex;
 
-/// Window-loop stage names, in pipeline order. Indexes into the
-/// `stage_busy` / `stage_stall` arrays of [`LatencyHists`].
-pub const STAGE_NAMES: [&str; 4] = ["read", "device", "posterior", "output"];
+use crate::stream::{OverlapStats, Phase, RunEvent, Stage};
 
-/// Stage index: reference/read ingestion (producer).
-pub const STAGE_READ: usize = 0;
-/// Stage index: device workers (count + likelihood kernels).
-pub const STAGE_DEVICE: usize = 1;
-/// Stage index: posterior genotyping.
-pub const STAGE_POSTERIOR: usize = 2;
-/// Stage index: reassembly + compressed output.
-pub const STAGE_OUTPUT: usize = 3;
+/// Window-loop stage names, in pipeline order ([`Stage::index`]). Indexes
+/// into the `stage_busy` / `stage_stall` arrays of [`LatencyHists`].
+pub const STAGE_NAMES: [&str; 4] = ["read", "device", "posterior", "output"];
 
 /// The full set of latency histograms one run accumulates.
 #[derive(Debug, Clone, Default)]
@@ -44,12 +38,13 @@ pub struct LatencyHists {
     /// Per-window wall time (a batch's device busy interval sliced evenly
     /// across its windows, matching the trace's per-window spans).
     pub window: Histogram,
-    /// Per-stage busy interval durations, indexed by `STAGE_*`.
+    /// Per-stage busy interval durations, indexed by [`Stage::index`].
     pub stage_busy: [Histogram; 4],
-    /// Per-stage stall (blocked on channel) durations, indexed by
-    /// `STAGE_*`. For the device stage this is the queue wait.
+    /// Per-stage stall (blocked on channel) durations, both directions,
+    /// indexed by [`Stage::index`].
     pub stage_stall: [Histogram; 4],
-    /// Time each dispatched batch waited in the device input queue.
+    /// Time each device lane waited on its input queue (the lanes'
+    /// `stall_in` alone).
     pub queue_wait: Histogram,
     /// Per-kernel-launch wall time, merged across kernels and devices
     /// (the per-kernel split lives in [`gpu_sim::KernelTally`]).
@@ -57,17 +52,37 @@ pub struct LatencyHists {
 }
 
 impl LatencyHists {
-    /// Fold `other` in (bucket-wise; associative and commutative).
-    pub fn merge(&mut self, other: &LatencyHists) {
-        self.window.merge(&other.window);
-        for (a, b) in self.stage_busy.iter_mut().zip(&other.stage_busy) {
-            a.merge(b);
+    /// Fold one event in. A batch records its busy interval once for the
+    /// device stage and `windows` evenly sliced per-window observations,
+    /// matching the trace's per-window spans.
+    pub fn record(&mut self, ev: &RunEvent) {
+        match *ev {
+            RunEvent::Span {
+                stage,
+                phase: Phase::Busy,
+                dur,
+                ..
+            } => self.stage_busy[stage.index()].record(dur),
+            RunEvent::Span {
+                stage, phase, dur, ..
+            } => {
+                self.stage_stall[stage.index()].record(dur);
+                if let (Stage::Lane(_), Phase::StallIn) = (stage, phase) {
+                    self.queue_wait.record(dur);
+                }
+            }
+            RunEvent::Batch {
+                lane,
+                windows,
+                busy,
+                ..
+            } => {
+                if windows > 0 {
+                    self.window.record_n(busy / windows as f64, windows);
+                }
+                self.stage_busy[Stage::Lane(lane).index()].record(busy);
+            }
         }
-        for (a, b) in self.stage_stall.iter_mut().zip(&other.stage_stall) {
-            a.merge(b);
-        }
-        self.queue_wait.merge(&other.queue_wait);
-        self.kernel_wall.merge(&other.kernel_wall);
     }
 
     /// `(name, digest)` rows for every non-empty histogram, in display
@@ -133,33 +148,24 @@ impl LatencyHists {
     }
 }
 
-/// Per-device-lane live counters.
-#[derive(Debug, Clone, Copy, Default)]
-struct LaneCounters {
-    windows: u64,
-    steals: u64,
-    busy_seconds: f64,
-}
-
-/// State behind the tracker's single mutex: per-lane counters and the
+/// State behind the tracker's single mutex: the run's stats fold and the
 /// latency histograms (minus kernel wall, which lives in the shared
 /// histogram handed to the device group).
 #[derive(Debug, Default)]
 struct Live {
-    lanes: Vec<LaneCounters>,
+    overlap: OverlapStats,
     hists: LatencyHists,
 }
 
 /// Atomic heartbeat + latency accumulator for one pipeline run.
 ///
 /// Cheap to sample from any thread: [`ProgressTracker::progress`] reads
-/// the atomics and takes the lane lock briefly, so the `/progress`
+/// the atomics and takes the fold lock briefly, so the `/progress`
 /// endpoint and the stderr heartbeat never stall the workers.
 #[derive(Debug)]
 pub struct ProgressTracker {
     start: Instant,
     windows_total: AtomicU64,
-    windows_done: AtomicU64,
     sites_done: AtomicU64,
     samples: AtomicU64,
     done: AtomicBool,
@@ -179,7 +185,6 @@ impl ProgressTracker {
         ProgressTracker {
             start: Instant::now(),
             windows_total: AtomicU64::new(0),
-            windows_done: AtomicU64::new(0),
             sites_done: AtomicU64::new(0),
             samples: AtomicU64::new(1),
             done: AtomicBool::new(false),
@@ -205,61 +210,24 @@ impl ProgressTracker {
         self.samples.store(n.max(1), Ordering::Relaxed);
     }
 
-    /// Size the per-lane counter table (one lane per device worker).
+    /// Size the per-lane counter table (one lane per device worker), so
+    /// recording never grows it.
     pub fn begin_lanes(&self, n: usize) {
         let mut live = self.live.lock();
-        if live.lanes.len() < n {
-            live.lanes.resize(n, LaneCounters::default());
+        if live.overlap.devices.len() < n {
+            live.overlap.devices.resize(n, Default::default());
         }
     }
 
-    /// Record one device batch: `k` windows covering `sites` sites,
-    /// processed in `busy_seconds` of lane busy time. The per-window
-    /// histogram gets `k` observations of the evenly-sliced duration,
-    /// matching how the trace layer emits per-window spans.
-    pub fn lane_batch(&self, lane: usize, k: u64, sites: u64, busy_seconds: f64) {
-        self.windows_done.fetch_add(k, Ordering::Relaxed);
-        self.sites_done.fetch_add(sites, Ordering::Relaxed);
+    /// Fold one event into the heartbeat counters, the stats fold and the
+    /// latency histograms.
+    pub fn record(&self, ev: &RunEvent) {
+        if let RunEvent::Batch { sites, .. } = *ev {
+            self.sites_done.fetch_add(sites, Ordering::Relaxed);
+        }
         let mut live = self.live.lock();
-        if lane >= live.lanes.len() {
-            live.lanes.resize(lane + 1, LaneCounters::default());
-        }
-        live.lanes[lane].windows += k;
-        live.lanes[lane].busy_seconds += busy_seconds;
-        if k > 0 {
-            live.hists.window.record_n(busy_seconds / k as f64, k);
-        }
-        live.hists.stage_busy[STAGE_DEVICE].record(busy_seconds);
-    }
-
-    /// Record a lane's wait on the device input queue.
-    pub fn lane_wait(&self, lane: usize, wait_seconds: f64) {
-        let mut live = self.live.lock();
-        if lane >= live.lanes.len() {
-            live.lanes.resize(lane + 1, LaneCounters::default());
-        }
-        live.hists.queue_wait.record(wait_seconds);
-        live.hists.stage_stall[STAGE_DEVICE].record(wait_seconds);
-    }
-
-    /// Record that a lane stole `n` windows owned by another lane.
-    pub fn lane_steal(&self, lane: usize, n: u64) {
-        let mut live = self.live.lock();
-        if lane >= live.lanes.len() {
-            live.lanes.resize(lane + 1, LaneCounters::default());
-        }
-        live.lanes[lane].steals += n;
-    }
-
-    /// Record a busy interval for a non-device stage (`STAGE_READ`,
-    /// `STAGE_POSTERIOR`, `STAGE_OUTPUT`).
-    pub fn stage_busy(&self, stage: usize, seconds: f64) {
-        self.live.lock().hists.stage_busy[stage].record(seconds);
-    }
-
-    /// Record a stall interval for a non-device stage.
-    pub fn stage_stall(&self, stage: usize, seconds: f64) {
-        self.live.lock().hists.stage_stall[stage].record(seconds);
+        live.overlap.record(ev);
+        live.hists.record(ev);
     }
 
     /// Mark the run finished (flips `/health` and the heartbeat line to
@@ -278,6 +246,13 @@ impl ProgressTracker {
         self.start.elapsed().as_secs_f64()
     }
 
+    /// Snapshot the stats fold: per-stage and per-lane busy/stall totals
+    /// and lane window/steal counts (`depth` and `wall` are left for the
+    /// executor to fill in).
+    pub fn overlap(&self) -> OverlapStats {
+        self.live.lock().overlap.clone()
+    }
+
     /// Snapshot the full latency histogram set (lane-local hists merged
     /// with the shared kernel-wall histogram).
     pub fn latency(&self) -> LatencyHists {
@@ -289,7 +264,23 @@ impl ProgressTracker {
     /// Sample the heartbeat counters.
     pub fn progress(&self) -> ProgressSnapshot {
         let elapsed = self.elapsed_seconds();
-        let windows_done = self.windows_done.load(Ordering::Relaxed);
+        let lanes: Vec<LaneProgress> = {
+            let live = self.live.lock();
+            live.overlap
+                .devices
+                .iter()
+                .map(|l| LaneProgress {
+                    windows: l.windows,
+                    steals: l.steals,
+                    utilization: if elapsed > 0.0 {
+                        (l.stage.busy / elapsed).min(1.0)
+                    } else {
+                        0.0
+                    },
+                })
+                .collect()
+        };
+        let windows_done = lanes.iter().map(|l| l.windows).sum();
         let windows_total = self.windows_total.load(Ordering::Relaxed);
         let sites_done = self.sites_done.load(Ordering::Relaxed);
         let sites_per_sec = if elapsed > 0.0 {
@@ -301,21 +292,6 @@ impl ProgressTracker {
             elapsed / windows_done as f64 * (windows_total - windows_done) as f64
         } else {
             0.0
-        };
-        let lanes = {
-            let live = self.live.lock();
-            live.lanes
-                .iter()
-                .map(|l| LaneProgress {
-                    windows: l.windows,
-                    steals: l.steals,
-                    utilization: if elapsed > 0.0 {
-                        (l.busy_seconds / elapsed).min(1.0)
-                    } else {
-                        0.0
-                    },
-                })
-                .collect()
         };
         ProgressSnapshot {
             elapsed_seconds: elapsed,
@@ -385,22 +361,9 @@ impl ProgressTracker {
             &[],
             snap.elapsed_seconds,
         );
+        crate::metrics::push_lane_series(&mut m, snap.lanes.iter().map(|l| (l.windows, l.steals)));
         for (i, lane) in snap.lanes.iter().enumerate() {
             let dev = i.to_string();
-            m.push(
-                "gsnp_lane_windows_total",
-                "Windows completed per device lane",
-                gpu_sim::MetricKind::Counter,
-                &[("device", dev.as_str())],
-                lane.windows as f64,
-            );
-            m.push(
-                "gsnp_lane_steals_total",
-                "Batches stolen from other lanes, per device lane",
-                gpu_sim::MetricKind::Counter,
-                &[("device", dev.as_str())],
-                lane.steals as f64,
-            );
             m.push(
                 "gsnp_lane_utilization",
                 "Fraction of wall time the lane spent busy",
@@ -437,7 +400,7 @@ pub fn push_build_info(m: &mut MetricsSnapshot) {
 pub struct LaneProgress {
     /// Windows this lane completed.
     pub windows: u64,
-    /// Batches this lane stole from other lanes.
+    /// Windows this lane scored off its round-robin home lane.
     pub steals: u64,
     /// Fraction of run wall time the lane spent busy, clamped to 1.
     pub utilization: f64,
@@ -540,22 +503,34 @@ impl ProgressSnapshot {
 mod tests {
     use super::*;
 
+    fn batch(lane: usize, windows: u64, sites: u64, busy: f64, stolen: bool) -> RunEvent {
+        RunEvent::Batch {
+            lane,
+            idx: 0,
+            first_window: 0,
+            windows,
+            sites,
+            ts: 0.0,
+            busy,
+            stolen,
+        }
+    }
+
     #[test]
     fn tracker_counts_and_eta() {
         let t = ProgressTracker::new();
         t.set_total_windows(10);
         t.begin_lanes(2);
-        t.lane_batch(0, 4, 4000, 0.08);
-        t.lane_batch(1, 2, 2000, 0.04);
-        t.lane_steal(1, 1);
-        t.lane_wait(0, 0.01);
+        t.record(&batch(0, 4, 4000, 0.08, false));
+        t.record(&batch(1, 2, 2000, 0.04, true));
+        t.record(&RunEvent::span(Stage::Lane(0), Phase::StallIn, 0.0, 0.01));
         let p = t.progress();
         assert_eq!(p.windows_done, 6);
         assert_eq!(p.windows_total, 10);
         assert_eq!(p.sites_done, 6000);
         assert_eq!(p.lanes.len(), 2);
         assert_eq!(p.lanes[0].windows, 4);
-        assert_eq!(p.lanes[1].steals, 1);
+        assert_eq!(p.lanes[1].steals, 2, "a stolen batch steals each window");
         assert!(p.eta_seconds > 0.0, "4 windows remain, eta must be set");
         assert!(!p.done);
         t.finish();
@@ -563,14 +538,30 @@ mod tests {
     }
 
     #[test]
-    fn lane_batch_slices_windows_evenly() {
+    fn batch_slices_windows_evenly() {
         let t = ProgressTracker::new();
-        t.lane_batch(0, 4, 400, 0.4);
+        t.record(&batch(0, 4, 400, 0.4, false));
         let h = t.latency();
         assert_eq!(h.window.count(), 4, "k windows, k observations");
         assert!((h.window.sum() - 0.4).abs() < 1e-12);
-        assert_eq!(h.stage_busy[STAGE_DEVICE].count(), 1);
+        assert_eq!(h.stage_busy[Stage::Lane(0).index()].count(), 1);
         assert_eq!(h.queue_wait.count(), 0);
+    }
+
+    #[test]
+    fn stall_histograms_hold_both_directions() {
+        let mut h = LatencyHists::default();
+        for (stage, phase, dur) in [
+            (Stage::Lane(1), Phase::StallIn, 0.25),
+            (Stage::Lane(0), Phase::StallOut, 0.5),
+            (Stage::Posterior, Phase::StallIn, 1.0),
+            (Stage::Posterior, Phase::StallOut, 2.0),
+        ] {
+            h.record(&RunEvent::span(stage, phase, 0.0, dur));
+        }
+        assert_eq!(h.stage_stall[Stage::Lane(0).index()].sum(), 0.75);
+        assert_eq!(h.stage_stall[Stage::Posterior.index()].sum(), 3.0);
+        assert_eq!(h.queue_wait.sum(), 0.25, "queue wait is stall_in only");
     }
 
     #[test]
@@ -587,7 +578,7 @@ mod tests {
     fn metrics_exposes_histogram_families_and_build_info() {
         let t = ProgressTracker::new();
         t.set_total_windows(8);
-        t.lane_batch(0, 8, 8000, 0.1);
+        t.record(&batch(0, 8, 8000, 0.1, false));
         t.finish();
         let text = t.metrics().render_text();
         assert!(text.contains("# TYPE gsnp_window_seconds histogram"));
@@ -612,7 +603,7 @@ mod tests {
     fn snapshot_renders_line_and_json() {
         let t = ProgressTracker::new();
         t.set_total_windows(4);
-        t.lane_batch(0, 2, 2000, 0.05);
+        t.record(&batch(0, 2, 2000, 0.05, false));
         let p = t.progress();
         let line = p.render_line();
         assert!(line.starts_with("progress: 2/4 windows (50.0%)"), "{line}");

@@ -159,6 +159,7 @@ fn handle_conn(mut stream: TcpStream, tracker: &Arc<ProgressTracker>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stream::RunEvent;
 
     fn get(addr: SocketAddr, path: &str) -> String {
         let mut s = TcpStream::connect(addr).unwrap();
@@ -172,7 +173,16 @@ mod tests {
     fn serves_health_progress_metrics_and_404() {
         let tracker = Arc::new(ProgressTracker::new());
         tracker.set_total_windows(4);
-        tracker.lane_batch(0, 2, 2000, 0.01);
+        tracker.record(&RunEvent::Batch {
+            lane: 0,
+            idx: 0,
+            first_window: 0,
+            windows: 2,
+            sites: 2000,
+            ts: 0.0,
+            busy: 0.01,
+            stolen: false,
+        });
         let server = StatsServer::start("127.0.0.1:0", Arc::clone(&tracker)).unwrap();
         let addr = server.addr();
 

@@ -19,14 +19,15 @@
 //! * [`OrderedReassembler`] — restores window-index order on the output
 //!   side, which is what keeps the compressed result file byte-identical
 //!   to a serial run (§IV-G).
-//! * [`StageStats`] / [`OverlapStats`] — per-stage busy and stall time,
-//!   from which the achieved pipeline depth is derived.
-//! * [`PipelineTrace`] — the host-side tracks of the tracing subsystem
-//!   (`GsnpConfig::trace`): one span track per pipeline stage and per
-//!   device lane under a `"pipeline"` process, recording the *same*
-//!   busy/stall durations that land in [`StageStats`], plus steal
-//!   instants. [`verify_overlap_consistency`] cross-checks the two
-//!   accounting systems against each other.
+//! * [`RunEvent`] — the one record the executor emits per timed interval:
+//!   a stage span or a device-lane batch. Every observer (stats,
+//!   histograms, trace, journal, live tracker) is a fold over this stream.
+//! * [`StageStats`] / [`OverlapStats`] — the stats fold: per-stage busy and
+//!   stall time, from which the achieved pipeline depth is derived.
+//! * [`PipelineTrace`] — the trace fold (`GsnpConfig::trace`): one span
+//!   track per pipeline stage and per device lane under a `"pipeline"`
+//!   process, plus steal instants. [`verify_overlap_consistency`] checks
+//!   that the two folds of one stream agree.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -120,6 +121,98 @@ impl<T> OrderedReassembler<T> {
     }
 }
 
+/// A window-loop stage, as named by a [`RunEvent`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Stage {
+    /// The producer (`read_site`).
+    Read,
+    /// Device worker `i` (counting + likelihood + recycle).
+    Lane(usize),
+    /// Posterior genotyping.
+    Posterior,
+    /// Reassembly + compressed output.
+    Output,
+}
+
+impl Stage {
+    /// Position in [`crate::progress::STAGE_NAMES`] order; every device
+    /// lane maps to the one device stage.
+    pub fn index(self) -> usize {
+        match self {
+            Stage::Read => 0,
+            Stage::Lane(_) => 1,
+            Stage::Posterior => 2,
+            Stage::Output => 3,
+        }
+    }
+}
+
+/// What a stage spent a [`RunEvent::Span`] doing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Phase {
+    /// The stage's own work.
+    Busy,
+    /// Blocked receiving from the upstream channel.
+    StallIn,
+    /// Blocked waiting for capacity in the downstream channel.
+    StallOut,
+}
+
+/// One timed interval of the window loop. The executor records each
+/// interval exactly once; [`OverlapStats`], the latency histograms, the
+/// live tracker, [`PipelineTrace`] and the run journal all fold the same
+/// value, so they agree by construction. `ts` is on the trace epoch
+/// ([`PipelineTrace::now`]) and 0 when tracing is off.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum RunEvent {
+    /// `stage` spent `[ts, ts + dur)` in `phase`. A device lane's busy
+    /// time arrives as [`RunEvent::Batch`] instead.
+    Span {
+        /// Stage the interval belongs to.
+        stage: Stage,
+        /// What the stage was doing.
+        phase: Phase,
+        /// Start, trace-epoch seconds.
+        ts: f64,
+        /// Duration, seconds.
+        dur: f64,
+    },
+    /// Device lane `lane` scored launch batch `idx` — `windows` windows
+    /// with global indices from `first_window`, covering `sites` sites —
+    /// busy over `[ts, ts + busy)`.
+    Batch {
+        /// Device lane that scored the batch.
+        lane: usize,
+        /// Launch-batch index.
+        idx: usize,
+        /// Global index of the batch's first window.
+        first_window: u64,
+        /// Windows in the batch, over all samples.
+        windows: u64,
+        /// Sites in the batch.
+        sites: u64,
+        /// Start, trace-epoch seconds.
+        ts: f64,
+        /// Lane busy time, seconds.
+        busy: f64,
+        /// The batch ran off its round-robin home lane (`idx % lanes !=
+        /// lane`): a steal, counted once per window.
+        stolen: bool,
+    },
+}
+
+impl RunEvent {
+    /// A [`RunEvent::Span`].
+    pub fn span(stage: Stage, phase: Phase, ts: f64, dur: f64) -> Self {
+        RunEvent::Span {
+            stage,
+            phase,
+            ts,
+            dur,
+        }
+    }
+}
+
 /// Busy/stall breakdown for one pipeline stage.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct StageStats {
@@ -135,6 +228,14 @@ impl StageStats {
     /// Busy plus both stall components.
     pub fn total(&self) -> f64 {
         self.busy + self.stall_in + self.stall_out
+    }
+
+    fn add(&mut self, phase: Phase, dur: f64) {
+        match phase {
+            Phase::Busy => self.busy += dur,
+            Phase::StallIn => self.stall_in += dur,
+            Phase::StallOut => self.stall_out += dur,
+        }
     }
 }
 
@@ -177,6 +278,44 @@ pub struct OverlapStats {
 }
 
 impl OverlapStats {
+    /// Fold one event into the totals. A lane's intervals also count
+    /// toward the summed [`OverlapStats::device`] stage.
+    pub fn record(&mut self, ev: &RunEvent) {
+        let (stage, phase, dur) = match *ev {
+            RunEvent::Span {
+                stage, phase, dur, ..
+            } => (stage, phase, dur),
+            RunEvent::Batch {
+                lane,
+                windows,
+                busy,
+                stolen,
+                ..
+            } => {
+                let l = self.lane(lane);
+                l.windows += windows;
+                l.steals += if stolen { windows } else { 0 };
+                (Stage::Lane(lane), Phase::Busy, busy)
+            }
+        };
+        match stage {
+            Stage::Read => self.read.add(phase, dur),
+            Stage::Lane(i) => {
+                self.lane(i).stage.add(phase, dur);
+                self.device.add(phase, dur);
+            }
+            Stage::Posterior => self.posterior.add(phase, dur),
+            Stage::Output => self.output.add(phase, dur),
+        }
+    }
+
+    fn lane(&mut self, i: usize) -> &mut DeviceLaneStats {
+        if i >= self.devices.len() {
+            self.devices.resize(i + 1, DeviceLaneStats::default());
+        }
+        &mut self.devices[i]
+    }
+
     /// Total busy time across all stages.
     pub fn busy_total(&self) -> f64 {
         self.read.busy + self.device.busy + self.posterior.busy + self.output.busy
@@ -199,30 +338,29 @@ impl OverlapStats {
     }
 }
 
-/// Host-side pipeline tracks of the tracing subsystem: one span track per
-/// stage (`read_site`, `posterior`, `output`) plus one per device lane,
-/// all under a `"pipeline"` process stamped with host wall clock (the
-/// device processes run on their simulated clocks — see
-/// `gpu_sim::trace`). Every span records the **identical** `f64` duration
-/// the stage adds to its [`StageStats`], which is what lets
-/// [`verify_overlap_consistency`] reconcile the two systems to
+/// The trace fold: host-side pipeline tracks of the tracing subsystem —
+/// one span track per stage (`read_site`, `posterior`, `output`) plus one
+/// per device lane, all under a `"pipeline"` process stamped with host
+/// wall clock (the device processes run on their simulated clocks — see
+/// `gpu_sim::trace`). [`PipelineTrace::record`] turns each [`RunEvent`]
+/// into spans carrying the **identical** `f64` durations that
+/// [`OverlapStats::record`] adds, which is what lets
+/// [`verify_overlap_consistency`] reconcile the two folds to
 /// floating-point regrouping error.
 ///
-/// Tracks and names are registered at construction; recording methods are
+/// Tracks and names are registered at construction; recording is
 /// allocation-free.
 pub struct PipelineTrace {
     rec: Arc<TraceRecorder>,
-    read: TrackId,
+    /// Track per [`Stage::index`]; the lane slot is unused (see `lanes`).
+    stages: [TrackId; 4],
     lanes: Vec<TrackId>,
-    posterior: TrackId,
-    output: TrackId,
-    n_read: NameId,
-    n_stall_in: NameId,
-    n_stall_out: NameId,
-    n_window: NameId,
-    n_steal: NameId,
-    n_posterior: NameId,
-    n_output: NameId,
+    /// Busy-span name per [`Stage::index`]: a lane's busy spans are
+    /// per-window `window` spans.
+    busy: [NameId; 4],
+    stall_in: NameId,
+    stall_out: NameId,
+    steal: NameId,
 }
 
 /// Thread label of device lane `i` in the pipeline process.
@@ -234,20 +372,19 @@ impl PipelineTrace {
     /// Register the pipeline-process tracks on `rec` for a run with
     /// `num_devices` device lanes.
     pub fn new(rec: &Arc<TraceRecorder>, num_devices: usize) -> Self {
+        let track = |thread: &str| rec.register_track("pipeline", thread, TrackKind::Spans);
+        let read = track("read_site");
+        let lanes: Vec<TrackId> = (0..num_devices.max(1))
+            .map(|i| track(&lane_thread(i)))
+            .collect();
+        let stages = [read, lanes[0], track("posterior"), track("output")];
         PipelineTrace {
-            read: rec.register_track("pipeline", "read_site", TrackKind::Spans),
-            lanes: (0..num_devices.max(1))
-                .map(|i| rec.register_track("pipeline", &lane_thread(i), TrackKind::Spans))
-                .collect(),
-            posterior: rec.register_track("pipeline", "posterior", TrackKind::Spans),
-            output: rec.register_track("pipeline", "output", TrackKind::Spans),
-            n_read: rec.intern("read_site"),
-            n_stall_in: rec.intern("stall_in"),
-            n_stall_out: rec.intern("stall_out"),
-            n_window: rec.intern("window"),
-            n_steal: rec.intern("steal"),
-            n_posterior: rec.intern("posterior"),
-            n_output: rec.intern("output"),
+            stages,
+            lanes,
+            busy: ["read_site", "window", "posterior", "output"].map(|n| rec.intern(n)),
+            stall_in: rec.intern("stall_in"),
+            stall_out: rec.intern("stall_out"),
+            steal: rec.intern("steal"),
             rec: Arc::clone(rec),
         }
     }
@@ -258,97 +395,74 @@ impl PipelineTrace {
         self.rec.now()
     }
 
-    /// Producer busy span (decompression or one window's `read_site`).
-    pub fn read_span(&self, ts: f64, dur: f64) {
-        self.rec
-            .span(self.read, self.n_read, ts, dur, SpanArgs::None);
-    }
-
-    /// Producer blocked on downstream channel capacity.
-    pub fn read_stall_out(&self, ts: f64, dur: f64) {
-        self.rec
-            .span(self.read, self.n_stall_out, ts, dur, SpanArgs::None);
-    }
-
-    /// Device lane `lane` busy on window `window`.
-    pub fn lane_window(&self, lane: usize, ts: f64, dur: f64, window: u64) {
-        self.rec.span(
-            self.lanes[lane],
-            self.n_window,
-            ts,
-            dur,
-            SpanArgs::Window { index: window },
-        );
-    }
-
-    /// Device lane blocked waiting for a window.
-    pub fn lane_stall_in(&self, lane: usize, ts: f64, dur: f64) {
-        self.rec
-            .span(self.lanes[lane], self.n_stall_in, ts, dur, SpanArgs::None);
-    }
-
-    /// Device lane blocked handing a scored window downstream.
-    pub fn lane_stall_out(&self, lane: usize, ts: f64, dur: f64) {
-        self.rec
-            .span(self.lanes[lane], self.n_stall_out, ts, dur, SpanArgs::None);
-    }
-
-    /// Lane processed a window off its round-robin home device.
-    pub fn lane_steal(&self, lane: usize, ts: f64) {
-        self.rec.instant(self.lanes[lane], self.n_steal, ts);
-    }
-
-    /// Posterior busy span.
-    pub fn posterior_span(&self, ts: f64, dur: f64) {
-        self.rec
-            .span(self.posterior, self.n_posterior, ts, dur, SpanArgs::None);
-    }
-
-    /// Posterior blocked on its input channel.
-    pub fn posterior_stall_in(&self, ts: f64, dur: f64) {
-        self.rec
-            .span(self.posterior, self.n_stall_in, ts, dur, SpanArgs::None);
-    }
-
-    /// Posterior blocked on the output channel.
-    pub fn posterior_stall_out(&self, ts: f64, dur: f64) {
-        self.rec
-            .span(self.posterior, self.n_stall_out, ts, dur, SpanArgs::None);
-    }
-
-    /// Output busy span (reassembly + compression + serialization).
-    pub fn output_span(&self, ts: f64, dur: f64) {
-        self.rec
-            .span(self.output, self.n_output, ts, dur, SpanArgs::None);
-    }
-
-    /// Output blocked waiting for called windows.
-    pub fn output_stall_in(&self, ts: f64, dur: f64) {
-        self.rec
-            .span(self.output, self.n_stall_in, ts, dur, SpanArgs::None);
-    }
-
-    /// Cross-check this trace against the run's [`OverlapStats`] (see
-    /// [`verify_overlap_consistency`]).
-    pub fn verify(&self, overlap: &OverlapStats) -> Result<(), String> {
-        verify_overlap_consistency(&self.rec.snapshot(), overlap)
+    /// Fold one event into the trace. A batch becomes one steal instant
+    /// per window when stolen, then one `window` span per window slicing
+    /// its busy interval evenly — the trace verifier requires one span per
+    /// window whose durations sum to the lane's busy time.
+    pub fn record(&self, ev: &RunEvent) {
+        match *ev {
+            RunEvent::Span {
+                stage,
+                phase,
+                ts,
+                dur,
+            } => {
+                let track = match stage {
+                    Stage::Lane(i) => self.lanes[i],
+                    s => self.stages[s.index()],
+                };
+                let name = match phase {
+                    Phase::Busy => self.busy[stage.index()],
+                    Phase::StallIn => self.stall_in,
+                    Phase::StallOut => self.stall_out,
+                };
+                self.rec.span(track, name, ts, dur, SpanArgs::None);
+            }
+            RunEvent::Batch {
+                lane,
+                first_window,
+                windows,
+                ts,
+                busy,
+                stolen,
+                ..
+            } => {
+                let track = self.lanes[lane];
+                if stolen {
+                    for _ in 0..windows {
+                        self.rec.instant(track, self.steal, ts);
+                    }
+                }
+                let slice = busy / windows as f64;
+                for j in 0..windows {
+                    self.rec.span(
+                        track,
+                        self.busy[Stage::Lane(lane).index()],
+                        ts + slice * j as f64,
+                        slice,
+                        SpanArgs::Window {
+                            index: first_window + j,
+                        },
+                    );
+                }
+            }
+        }
     }
 }
 
-/// Absolute tolerance for busy/stall reconciliation. Spans carry the
-/// identical `f64` values the stage accumulators add, so per-track sums in
-/// record order reproduce the accumulator bit-for-bit; a device lane's
-/// per-window spans slice each batch's busy interval, and the regrouping
-/// error of re-summing the slices sits orders of magnitude below this
-/// bound.
+/// Absolute tolerance for busy/stall reconciliation. The trace and stats
+/// folds see identical `f64` durations, so per-track sums in record order
+/// reproduce the stats fold bit-for-bit; a device lane's per-window spans
+/// slice each batch's busy interval, and the regrouping error of
+/// re-summing the slices sits orders of magnitude below this bound.
 const CONSISTENCY_TOL: f64 = 1e-9;
 
-/// Verify that `OverlapStats` busy/stall totals equal the summed durations
-/// of the corresponding pipeline-trace spans — per stage and per device
-/// lane — and that steal/window counts match. Catches accounting drift
-/// between the two systems (the satellite invariant of the tracing
-/// subsystem). Returns `Ok` vacuously when the ring dropped events, since
-/// span sums are then incomplete by construction.
+/// Verify that the trace fold and the stats fold of one run agree: every
+/// stage's and device lane's busy/stall totals in `overlap` equal the
+/// summed durations of the matching pipeline-trace spans, and each lane's
+/// window and steal counts match its `window` spans and `steal` instants.
+/// Returns `Ok` vacuously when the ring dropped events, since span sums
+/// are then incomplete by construction.
 pub fn verify_overlap_consistency(
     snap: &TraceSnapshot,
     overlap: &OverlapStats,
@@ -363,88 +477,54 @@ pub fn verify_overlap_consistency(
             .map(|i| TrackId(i as u32))
             .ok_or_else(|| format!("pipeline trace has no {thread:?} track"))
     };
-    let check = |what: &str, stats: f64, spans: f64| -> Result<(), String> {
-        if (stats - spans).abs() > CONSISTENCY_TOL {
-            return Err(format!(
-                "{what}: OverlapStats has {stats} s but trace spans sum to {spans} s"
-            ));
-        }
-        Ok(())
-    };
-
-    let read = track("read_site")?;
-    check(
-        "read.busy",
-        overlap.read.busy,
-        snap.sum_span_durations(read, "read_site"),
-    )?;
-    check(
-        "read.stall_out",
-        overlap.read.stall_out,
-        snap.sum_span_durations(read, "stall_out"),
-    )?;
-
+    // (label, track, busy-span name, stats fold) for every stage track.
+    let mut stages = vec![
+        (
+            "read".to_string(),
+            track("read_site")?,
+            "read_site",
+            overlap.read,
+        ),
+        (
+            "posterior".to_string(),
+            track("posterior")?,
+            "posterior",
+            overlap.posterior,
+        ),
+        (
+            "output".to_string(),
+            track("output")?,
+            "output",
+            overlap.output,
+        ),
+    ];
     for (i, lane) in overlap.devices.iter().enumerate() {
         let t = track(&lane_thread(i))?;
-        check(
-            &format!("lane {i} busy"),
-            lane.stage.busy,
-            snap.sum_span_durations(t, "window"),
-        )?;
-        check(
-            &format!("lane {i} stall_in"),
-            lane.stage.stall_in,
-            snap.sum_span_durations(t, "stall_in"),
-        )?;
-        check(
-            &format!("lane {i} stall_out"),
-            lane.stage.stall_out,
-            snap.sum_span_durations(t, "stall_out"),
-        )?;
-        let windows = snap.count_events(t, "window") as u64;
-        if windows != lane.windows {
+        let count = |name: &str| snap.count_events(t, name) as u64;
+        let (windows, steals) = (count("window"), count("steal"));
+        if (windows, steals) != (lane.windows, lane.steals) {
             return Err(format!(
-                "lane {i}: {} window spans vs {} windows in OverlapStats",
-                windows, lane.windows
+                "lane {i}: trace has {windows} windows and {steals} steal events, \
+                 OverlapStats {} windows and {} steals",
+                lane.windows, lane.steals
             ));
         }
-        let steals = snap.count_events(t, "steal") as u64;
-        if steals != lane.steals {
-            return Err(format!(
-                "lane {i}: {} steal events vs {} steals in OverlapStats",
-                steals, lane.steals
-            ));
+        stages.push((format!("lane {i}"), t, "window", lane.stage));
+    }
+    for (what, t, busy_name, st) in &stages {
+        for (phase, name, stats) in [
+            ("busy", *busy_name, st.busy),
+            ("stall_in", "stall_in", st.stall_in),
+            ("stall_out", "stall_out", st.stall_out),
+        ] {
+            let spans = snap.sum_span_durations(*t, name);
+            if (stats - spans).abs() > CONSISTENCY_TOL {
+                return Err(format!(
+                    "{what} {phase}: OverlapStats has {stats} s but trace spans sum to {spans} s"
+                ));
+            }
         }
     }
-
-    let post = track("posterior")?;
-    check(
-        "posterior.busy",
-        overlap.posterior.busy,
-        snap.sum_span_durations(post, "posterior"),
-    )?;
-    check(
-        "posterior.stall_in",
-        overlap.posterior.stall_in,
-        snap.sum_span_durations(post, "stall_in"),
-    )?;
-    check(
-        "posterior.stall_out",
-        overlap.posterior.stall_out,
-        snap.sum_span_durations(post, "stall_out"),
-    )?;
-
-    let out = track("output")?;
-    check(
-        "output.busy",
-        overlap.output.busy,
-        snap.sum_span_durations(out, "output"),
-    )?;
-    check(
-        "output.stall_in",
-        overlap.output.stall_in,
-        snap.sum_span_durations(out, "stall_in"),
-    )?;
     Ok(())
 }
 
@@ -545,17 +625,37 @@ mod tests {
     fn consistency_verifier_accepts_matching_accounting() {
         let rec = Arc::new(TraceRecorder::new(256));
         let pt = PipelineTrace::new(&rec, 2);
-        pt.read_span(0.0, 1.5);
-        pt.read_stall_out(1.5, 0.25);
-        pt.lane_stall_in(0, 0.0, 0.1);
-        pt.lane_window(0, 0.1, 2.0, 0);
-        pt.lane_window(1, 0.0, 1.0, 1);
-        pt.lane_steal(1, 0.0);
-        pt.lane_stall_out(1, 1.0, 0.5);
-        pt.posterior_span(2.0, 0.75);
-        pt.posterior_stall_in(0.0, 2.0);
-        pt.output_span(3.0, 0.5);
-        pt.output_stall_in(0.0, 3.0);
+        let span = RunEvent::span;
+        let batch = |lane, idx, first_window, ts, busy, stolen| RunEvent::Batch {
+            lane,
+            idx,
+            first_window,
+            windows: 1,
+            sites: 100,
+            ts,
+            busy,
+            stolen,
+        };
+        let mut fold = OverlapStats {
+            depth: 2,
+            ..Default::default()
+        };
+        for ev in [
+            span(Stage::Read, Phase::Busy, 0.0, 1.5),
+            span(Stage::Read, Phase::StallOut, 1.5, 0.25),
+            span(Stage::Lane(0), Phase::StallIn, 0.0, 0.1),
+            batch(0, 0, 0, 0.1, 2.0, false),
+            batch(1, 2, 1, 0.0, 1.0, true),
+            span(Stage::Lane(1), Phase::StallOut, 1.0, 0.5),
+            span(Stage::Posterior, Phase::Busy, 2.0, 0.75),
+            span(Stage::Posterior, Phase::StallIn, 0.0, 2.0),
+            span(Stage::Output, Phase::Busy, 3.0, 0.5),
+            span(Stage::Output, Phase::StallIn, 0.0, 3.0),
+        ] {
+            pt.record(&ev);
+            fold.record(&ev);
+        }
+        fold.wall = 3.5;
         let overlap = OverlapStats {
             depth: 2,
             read: StageStats {
@@ -600,19 +700,22 @@ mod tests {
             },
             wall: 3.5,
         };
-        pt.verify(&overlap)
+        assert_eq!(fold, overlap, "the stats fold matches the hand tally");
+        verify_overlap_consistency(&rec.snapshot(), &overlap)
             .expect("matching accounting must verify");
 
         // Drift in any lane total must be caught.
         let mut drifted = overlap.clone();
         drifted.devices[0].stage.busy += 0.5;
-        let err = pt.verify(&drifted).unwrap_err();
+        let err = verify_overlap_consistency(&rec.snapshot(), &drifted).unwrap_err();
         assert!(err.contains("lane 0 busy"), "unexpected error: {err}");
 
         // A missing steal event must be caught too.
         let mut drifted = overlap;
         drifted.devices[1].steals = 2;
-        assert!(pt.verify(&drifted).unwrap_err().contains("steal"));
+        assert!(verify_overlap_consistency(&rec.snapshot(), &drifted)
+            .unwrap_err()
+            .contains("steal"));
     }
 
     #[test]
@@ -620,7 +723,7 @@ mod tests {
         let rec = Arc::new(TraceRecorder::new(2));
         let pt = PipelineTrace::new(&rec, 1);
         for _ in 0..8 {
-            pt.read_span(0.0, 1.0);
+            pt.record(&RunEvent::span(Stage::Read, Phase::Busy, 0.0, 1.0));
         }
         assert!(rec.dropped() > 0);
         // Totals that cannot possibly match the surviving spans still pass.
@@ -628,7 +731,7 @@ mod tests {
             devices: vec![DeviceLaneStats::default()],
             ..Default::default()
         };
-        pt.verify(&overlap)
+        verify_overlap_consistency(&rec.snapshot(), &overlap)
             .expect("dropped ring must not fail verification");
     }
 

@@ -13,6 +13,10 @@
 //! 3. **The stats endpoint is live.** `/health`, `/progress`, and
 //!    `/metrics` answer over real TCP while the window loop executes,
 //!    and the terminal snapshot agrees with the pipeline's own stats.
+//! 4. **Every observer folds one stream.** On a sharded single-sample
+//!    run and on a cohort run, the stage histograms (stalls in both
+//!    directions), the per-window histogram, and the tracker's lane
+//!    counters agree with [`OverlapStats`] stage by stage.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -23,7 +27,9 @@ use proptest::prelude::*;
 
 use gsnp::core::cohort::{CohortCallConfig, CohortPipeline, SampleReads};
 use gsnp::core::journal::{self, Journal};
-use gsnp::core::{GsnpConfig, GsnpPipeline, ProgressTracker, StatsServer};
+use gsnp::core::pipeline::PipelineStats;
+use gsnp::core::progress::STAGE_NAMES;
+use gsnp::core::{GsnpConfig, GsnpPipeline, OverlapStats, ProgressTracker, StatsServer};
 use gsnp::gpu_sim::{parse_json, Histogram, Json};
 use gsnp::seqio::synth::{Cohort, CohortConfig, Dataset, SynthConfig};
 
@@ -308,4 +314,91 @@ fn live_endpoints_answer_while_a_run_executes() {
     let health = http_get(addr, "/health");
     assert!(health.contains("\"done\":true"), "{health}");
     server.shutdown();
+}
+
+/// Check that the latency histograms in `stats` and the terminal lane
+/// counters of `tracker` fold to the same totals as `stats.overlap`.
+fn assert_folds_agree(what: &str, stats: &PipelineStats, tracker: &ProgressTracker) {
+    let ov: &OverlapStats = &stats.overlap;
+    let h = &stats.hists;
+    for (i, st) in [&ov.read, &ov.device, &ov.posterior, &ov.output]
+        .into_iter()
+        .enumerate()
+    {
+        let stage = STAGE_NAMES[i];
+        let busy = h.stage_busy[i].sum();
+        assert!(
+            (busy - st.busy).abs() <= 1e-9,
+            "{what} {stage}: busy histogram sums to {busy} s, OverlapStats has {} s",
+            st.busy
+        );
+        let stall = h.stage_stall[i].sum();
+        assert!(
+            (stall - (st.stall_in + st.stall_out)).abs() <= 1e-9,
+            "{what} {stage}: stall histogram sums to {stall} s, OverlapStats has \
+             {} s in + {} s out",
+            st.stall_in,
+            st.stall_out
+        );
+    }
+    assert_eq!(h.window.count(), stats.windows, "{what}: window histogram");
+    let lanes = tracker.progress().lanes;
+    assert_eq!(lanes.len(), ov.devices.len(), "{what}: lane count");
+    for (i, (live, lane)) in lanes.iter().zip(&ov.devices).enumerate() {
+        assert_eq!(
+            (live.windows, live.steals),
+            (lane.windows, lane.steals),
+            "{what}: lane {i} windows/steals"
+        );
+    }
+}
+
+#[test]
+fn histograms_and_tracker_agree_with_overlap_stats() {
+    let mut sc = SynthConfig::tiny(20_261_013);
+    sc.num_sites = 12_000;
+    sc.depth = 3.0;
+    let d = Dataset::generate(sc);
+    let tracker = Arc::new(ProgressTracker::new());
+    let out = GsnpPipeline::new(GsnpConfig {
+        window_size: 1_500,
+        num_devices: 2,
+        pipeline_depth: 2,
+        progress: Some(Arc::clone(&tracker)),
+        ..Default::default()
+    })
+    .run(&d.reads, &d.reference, &d.priors);
+    assert_eq!(out.stats.windows, 8, "12000 sites / 1500 = 8 windows");
+    assert_folds_agree("single-sample", &out.stats, &tracker);
+
+    let mut sc = SynthConfig::tiny(20_261_014);
+    sc.num_sites = 6_000;
+    sc.depth = 3.0;
+    let c = Cohort::generate(CohortConfig {
+        base: sc,
+        num_samples: 3,
+        shared_rate: 0.6,
+    });
+    let inputs: Vec<SampleReads<'_>> = c
+        .samples
+        .iter()
+        .map(|s| SampleReads {
+            name: &s.name,
+            reads: &s.reads,
+        })
+        .collect();
+    let tracker = Arc::new(ProgressTracker::new());
+    let out = CohortPipeline::new(CohortCallConfig {
+        base: GsnpConfig {
+            window_size: 1_500,
+            num_devices: 2,
+            pipeline_depth: 2,
+            progress: Some(Arc::clone(&tracker)),
+            ..Default::default()
+        },
+        ..Default::default()
+    })
+    .run(&inputs, &c.reference, &c.priors);
+    assert_eq!(out.stats.windows, 12, "4 windows per sample, 3 samples");
+    assert_folds_agree("cohort", &out.stats, &tracker);
 }

@@ -193,6 +193,19 @@ fn four_device_trace_reconciles_with_overlap_stats() {
     // Steal markers only ever appear on lane tracks, and their count
     // matches the stats (zero steals is legitimate on a fast run, but
     // the window totals must still agree).
+    let mut steals = 0u64;
+    for e in snap.events.iter().filter(|e| snap.name(e.name) == "steal") {
+        let tr = &snap.tracks[e.track.0 as usize];
+        assert!(
+            tr.process == "pipeline" && tr.thread.starts_with("device lane "),
+            "steal marker on {}/{}",
+            tr.process,
+            tr.thread
+        );
+        assert!(matches!(e.kind, EventKind::Instant), "steal is an instant");
+        steals += 1;
+    }
+    assert_eq!(steals, out.overlap.steals_total());
     let total_windows: u64 = out.overlap.devices.iter().map(|l| l.windows).sum();
     assert_eq!(total_windows, 4, "6000 sites / 1500 = 4 windows");
 }
